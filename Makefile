@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint pylint ranges invariants chaos stats bench bench-check bench-baseline bench-diff report serve loadtest
+.PHONY: test lint pylint perfbench-test ranges invariants chaos stats bench bench-check bench-baseline bench-diff report serve loadtest
 
 test:
 	$(PYTHON) -m pytest -m "not bench" -q
@@ -12,6 +12,9 @@ lint:
 pylint:
 	$(PYTHON) -m repro pylint src/repro tests/pyfront/corpus \
 		--fail-on error --out pylint-findings.json
+
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/test_bench.py -q
 
 ranges:
 	$(PYTHON) -m repro lint --strict --ranges examples/

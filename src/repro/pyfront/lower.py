@@ -43,8 +43,8 @@ Semantics notes (where CPython and the IR disagree and how it's bridged):
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import InitVar, dataclass, field
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
@@ -62,7 +62,7 @@ from repro.ir.instructions import (
 from repro.ir.opcodes import BinaryOp, Relation
 from repro.ir.values import Const, Ref, Value
 from repro.obs.trace import traced
-from repro.pyfront.typeinfer import INT, LIST, Kinds, infer_kinds
+from repro.pyfront.typeinfer import INT, LIST, Kinds, all_args, infer_kinds
 from repro.resilience.isolation import DegradationRecord
 
 __all__ = [
@@ -107,17 +107,37 @@ class CompiledFunction:
     lineno: int
     #: parameter names with inferred kinds, in signature order
     params: List[Tuple[str, str]] = field(default_factory=list)
-    #: clean re-rendered source (``ast.unparse``) for the oracle / runlog
-    source: Optional[str] = None
     #: the named IR, or ``None`` when the function degraded
     function: Optional[Function] = None
     #: one record per unsupported construct (PYF4xx), plus dropped-assert
     #: notes; non-empty degradations with ``function is None`` mean skipped
     degradations: List[DegradationRecord] = field(default_factory=list)
+    #: the def that :attr:`source` is unparsed from
+    node: InitVar[Optional[ast.AST]] = None
+    _node: Optional[ast.AST] = field(default=None, init=False, repr=False, compare=False)
+    _source: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self, node: Optional[ast.AST]) -> None:
+        self._node = node
 
     @property
     def ok(self) -> bool:
         return self.function is not None
+
+    @property
+    def source(self) -> Optional[str]:
+        """Clean re-rendered source (``ast.unparse``) for the oracle / runlog.
+
+        Unparsed on first read, then kept; the def node is released then.
+        Most functions degrade and are never read, so they never pay.
+        """
+        if self._node is not None:
+            node, self._node = self._node, None
+            try:
+                self._source = ast.unparse(node)
+            except Exception:  # noqa: BLE001 - unparse is best-effort metadata
+                self._source = None
+        return self._source
 
 
 @dataclass
@@ -206,13 +226,21 @@ class _Validator:
     corpus driver per-construct degradation records.
     """
 
-    def __init__(self, node: ast.FunctionDef, kinds: Kinds, scope: str):
+    def __init__(
+        self,
+        node: ast.FunctionDef,
+        nodes: Sequence[ast.AST],
+        kinds: Kinds,
+        scope: str,
+    ):
         self.node = node
+        #: ``list(ast.walk(node))``, shared with kind inference
+        self.nodes = nodes
         self.kinds = kinds
         self.scope = scope
         self.records: List[DegradationRecord] = []
         self.loop_depth = 0
-        self.params = [a.arg for a in _all_args(node)]
+        self.params = [a.arg for a in all_args(node)]
 
     # -- recording -----------------------------------------------------
     def problem(self, diag_code: str, code: str, message: str) -> None:
@@ -501,31 +529,31 @@ class _Validator:
     def check_loop_targets(self) -> None:
         loops = [
             child
-            for child in ast.walk(self.node)
+            for child in self.nodes
             if isinstance(child, ast.For) and isinstance(child.target, ast.Name)
         ]
-        # Name nodes inside the *body* of a loop over each variable: reads
-        # there see that loop's fresh per-iteration binding, so a later
-        # same-named loop "shields" reads inside its own body
-        shielded: Dict[str, set] = {}
-        for loop in loops:
-            ids = shielded.setdefault(loop.target.id, set())
-            for body_stmt in loop.body:
-                for child in ast.walk(body_stmt):
-                    if isinstance(child, ast.Name):
-                        ids.add(id(child))
+        if not loops:
+            return
+        # every Name node of each loop variable, in walk order
+        names: Dict[str, List[ast.Name]] = {loop.target.id: [] for loop in loops}
+        for child in self.nodes:
+            if isinstance(child, ast.Name) and child.id in names:
+                names[child.id].append(child)
+        # the variable's Name nodes inside the *body* of a loop over it:
+        # reads there see that loop's fresh per-iteration binding, so a
+        # later same-named loop "shields" reads inside its own body
+        shielded: Dict[str, Set[int]] = {var: set() for var in names}
+        subtrees: List[Set[int]] = []
         for loop in loops:
             var = loop.target.id
-            subtree = {
-                id(child)
-                for child in ast.walk(loop)
-                if isinstance(child, ast.Name)
-            }
+            body = _name_ids(loop.body, var)
+            shielded[var] |= body
+            subtrees.append(body | _name_ids([loop.target, loop.iter, *loop.orelse], var))
+        for loop, subtree in zip(loops, subtrees):
+            var = loop.target.id
             end = (loop.end_lineno or loop.lineno, loop.end_col_offset or 0)
             is_range = _range_call(loop.iter) is not None
-            for child in ast.walk(self.node):
-                if not isinstance(child, ast.Name) or child.id != var:
-                    continue
+            for child in names[var]:
                 if isinstance(child.ctx, ast.Store):
                     if id(child) in subtree and child is not loop.target:
                         self.problem(
@@ -536,13 +564,23 @@ class _Validator:
                         )
                 elif is_range and id(child) not in subtree:
                     position = (child.lineno, child.col_offset)
-                    if position > end and id(child) not in shielded.get(var, ()):
+                    if position > end and id(child) not in shielded[var]:
                         self.problem(
                             "PYF405", "loop-variable-read-after-loop",
                             f"loop variable {var!r} is read after its loop "
                             f"(line {child.lineno}); its post-loop value "
                             "differs from CPython's",
                         )
+
+
+def _name_ids(roots: Sequence[ast.AST], name: str) -> Set[int]:
+    """The ids of every ``Name`` node spelling ``name`` under ``roots``."""
+    return {
+        id(child)
+        for root in roots
+        for child in ast.walk(root)
+        if isinstance(child, ast.Name) and child.id == name
+    }
 
 
 def _range_call(node: ast.AST) -> Optional[ast.Call]:
@@ -603,7 +641,7 @@ class _PyLowerer:
         self.kinds = kinds
         params: List[str] = []
         arrays: List[str] = []
-        for arg in _all_args(node):
+        for arg in all_args(node):
             if kinds.is_list(arg.arg):
                 arrays.append(arg.arg)
                 params.append(arg.arg + LEN_SUFFIX)
@@ -987,35 +1025,30 @@ class _PyLowerer:
         return self.function
 
 
-def _all_args(node: ast.FunctionDef) -> List[ast.arg]:
-    args = node.args
-    return list(getattr(args, "posonlyargs", ())) + list(args.args)
-
-
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
 def compile_function(
     node: ast.FunctionDef, qualname: str, origin: str
 ) -> CompiledFunction:
-    """Compile one ``ast.FunctionDef``; degrades instead of raising."""
+    """Compile one ``ast.FunctionDef``; degrades instead of raising.
+
+    One ``ast.walk`` of the def feeds both kind inference and validation
+    (the loop-variable check walks only each loop's own subtree), and
+    ``source`` is unparsed only if read.
+    """
     scope = qualname
-    where = f"{origin}:{node.lineno}"
-    try:
-        source = ast.unparse(node)
-    except Exception:  # noqa: BLE001 - unparse is best-effort metadata
-        source = None
-    kinds = infer_kinds(node)
-    params = [(arg.arg, kinds.kind_of(arg.arg)) for arg in _all_args(node)]
+    nodes = list(ast.walk(node))
+    kinds = infer_kinds(node, nodes)
     compiled = CompiledFunction(
         qualname=qualname,
-        origin=where,
+        origin=f"{origin}:{node.lineno}",
         lineno=node.lineno,
-        params=params,
-        source=source,
+        params=[(arg.arg, kinds.kind_of(arg.arg)) for arg in all_args(node)],
+        node=node,
     )
     try:
-        records = _Validator(node, kinds, scope).run()
+        records = _Validator(node, nodes, kinds, scope).run()
     except Exception as error:  # noqa: BLE001 - total-ingestion contract
         compiled.degradations.append(
             _record(

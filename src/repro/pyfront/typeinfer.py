@@ -9,7 +9,7 @@ A name used both ways (or a list that is *assigned*, i.e. created
 locally) is a kind conflict -- the function degrades with ``PYF404``
 instead of guessing.
 
-The inference is deliberately syntactic: two linear passes over the
+The inference is deliberately syntactic: one linear pass over the
 ``ast``, no dataflow.  That matches the frontend's contract -- it must
 never be *wrong silently*; when in doubt it reports a conflict and the
 function degrades.
@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 INT = "int"
 LIST = "list"
 
-__all__ = ["INT", "LIST", "Kinds", "infer_kinds"]
+__all__ = ["INT", "LIST", "Kinds", "all_args", "infer_kinds"]
+
+#: nodes that own an annotation (``annotation`` or ``returns``)
+_ANNOTATED = (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 @dataclass
@@ -45,22 +48,37 @@ class Kinds:
         return self.kinds.get(name) == LIST
 
 
-def infer_kinds(node: ast.FunctionDef) -> Kinds:
-    """Infer the kind of every name in one function body."""
+def infer_kinds(node: ast.FunctionDef, nodes: Sequence[ast.AST]) -> Kinds:
+    """Infer the kind of every name in one function body.
+
+    ``nodes`` is ``list(ast.walk(node))``, which the caller shares with
+    validation.  Annotations are not uses: ``xs: List[int]`` says nothing
+    the body does not, so their subtrees are skipped.
+    """
     int_uses: Dict[str, str] = {}
     list_uses: Dict[str, str] = {}
     assigned: Set[str] = set()
-    # Name nodes claimed by a list-position or call-callee pattern; the
-    # generic pass below must not double-count them as int uses
+    # Name nodes claimed by a list-position or call-callee pattern; they
+    # are not int uses.  The walk is breadth-first, so a parent claims its
+    # children (and an annotation's owner skips it) before they come up
     claimed: Set[int] = set()
+    skipped: Set[int] = set()
 
     def list_use(name_node: ast.Name, why: str) -> None:
         list_uses.setdefault(name_node.id, why)
         claimed.add(id(name_node))
 
-    # pass 1: structural list positions
-    for child in ast.walk(node):
-        if isinstance(child, ast.Subscript) and isinstance(child.value, ast.Name):
+    for child in nodes:
+        if id(child) in skipped:
+            continue
+        if isinstance(child, ast.Name):
+            if isinstance(child.ctx, ast.Store):
+                assigned.add(child.id)
+                if id(child) not in claimed:
+                    int_uses.setdefault(child.id, "assigned")
+            elif id(child) not in claimed:
+                int_uses.setdefault(child.id, "used as an integer")
+        elif isinstance(child, ast.Subscript) and isinstance(child.value, ast.Name):
             list_use(child.value, "subscripted")
         elif isinstance(child, ast.Call):
             if isinstance(child.func, ast.Name):
@@ -73,17 +91,12 @@ def infer_kinds(node: ast.FunctionDef) -> Kinds:
                     list_use(child.args[0], "passed to len()")
         elif isinstance(child, ast.For) and isinstance(child.iter, ast.Name):
             list_use(child.iter, "iterated over")
-
-    # pass 2: every remaining name is an int position
-    for child in ast.walk(node):
-        if not isinstance(child, ast.Name):
-            continue
-        if isinstance(child.ctx, ast.Store):
-            assigned.add(child.id)
-            if id(child) not in claimed:
-                int_uses.setdefault(child.id, "assigned")
-        elif id(child) not in claimed:
-            int_uses.setdefault(child.id, "used as an integer")
+        elif isinstance(child, _ANNOTATED):
+            annotation = getattr(child, "annotation", None) or getattr(
+                child, "returns", None
+            )
+            if annotation is not None:
+                skipped.update(map(id, ast.walk(annotation)))
 
     kinds: Dict[str, str] = {}
     conflicts: List[Tuple[str, str, str]] = []
@@ -94,11 +107,12 @@ def infer_kinds(node: ast.FunctionDef) -> Kinds:
                 conflicts.append((name, int_uses[name], list_uses[name]))
         else:
             kinds[name] = INT
-    for arg in _all_args(node):
+    for arg in all_args(node):
         kinds.setdefault(arg.arg, INT)
     return Kinds(kinds=kinds, conflicts=conflicts, assigned=assigned)
 
 
-def _all_args(node: ast.FunctionDef) -> List[ast.arg]:
+def all_args(node: ast.FunctionDef) -> List[ast.arg]:
+    """The positional parameters of a def, in signature order."""
     args = node.args
     return list(getattr(args, "posonlyargs", ())) + list(args.args)
