@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint pylint perfbench-test ranges invariants chaos stats bench bench-check bench-baseline bench-diff report serve loadtest
+.PHONY: test lint pylint perfbench-test perfbench-smoke ranges invariants chaos stats bench bench-check bench-baseline bench-diff report serve loadtest
 
 test:
 	$(PYTHON) -m pytest -m "not bench" -q
@@ -15,6 +15,9 @@ pylint:
 
 perfbench-test:
 	$(PYTHON) -m pytest perfbench/test_bench.py -q
+
+perfbench-smoke:
+	python3 perfbench/run.py --workload dsl_chain --seed 1 --seconds 3 --trace 1
 
 ranges:
 	$(PYTHON) -m repro lint --strict --ranges examples/

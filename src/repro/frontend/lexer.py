@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List
+import re
+from typing import List, NamedTuple
 
 
 class FrontendError(Exception):
@@ -51,7 +51,7 @@ KEYWORDS = {
     "array",
 }
 
-# multi-character operators first (longest match wins)
+# longest first: the scanner takes the first alternative that matches
 _OPERATORS = [
     "**",
     "<=",
@@ -75,8 +75,9 @@ _OPERATORS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token: a plain tuple, cheap to build about 1,600 times a program."""
+
     kind: TokenKind
     text: str
     line: int
@@ -86,56 +87,61 @@ class Token:
         return f"Token({self.kind.value}, {self.text!r}, {self.line}:{self.column})"
 
 
+# One scan per source line.  Leading blanks are folded into every match,
+# so each iteration yields one token (or a comment, or an error); the
+# token starts at the numbered group that matched.
+_SCAN = re.compile(
+    r"[ \t\r]*(?:"
+    r"(\d+)"  # 1: number -- decimal digits only, so int() accepts it
+    r"|([A-Za-z_]\w*)"  # 2: name or keyword
+    r"|(" + "|".join(map(re.escape, _OPERATORS)) + r")"  # 3: operator
+    r"|(#.*)"  # 4: comment to end of line
+    r"|([^\W\d]\w*)"  # 5: non-ASCII word start, a name only if a letter
+    r"|([^ \t\r])"  # 6: anything else
+    r")"
+).finditer
+
+_COMMENT, _OTHER_WORD = 4, 5
+#: kind of a number (1), word (2) or operator (3) match, unless its text
+#: is a keyword or operator, whose kind ``_TEXT_KIND`` gives
+_GROUP_KIND = (None, TokenKind.NUMBER, TokenKind.NAME, TokenKind.OP)
+_TEXT_KIND = {keyword: TokenKind.KEYWORD for keyword in KEYWORDS}
+_TEXT_KIND.update((op, TokenKind.OP) for op in _OPERATORS)
+_NEWLINE = TokenKind.NEWLINE
+#: builds a Token without the Python-level ``__new__`` frame
+_token = tuple.__new__
+
+
 def tokenize(source: str) -> List[Token]:
-    """Tokenize; newlines are significant (statement separators)."""
+    """Tokenize; newlines are significant (statement separators).
+
+    Runs of blank lines collapse into one NEWLINE token, and a NEWLINE is
+    appended after the last statement.  A NEWLINE sits at the end of its
+    line, or where the line's comment starts; EOF sits where the last
+    line ends.
+    """
     tokens: List[Token] = []
+    append = tokens.append
     line = 1
     column = 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            # collapse consecutive newlines into one token
-            if tokens and tokens[-1].kind is not TokenKind.NEWLINE:
-                tokens.append(Token(TokenKind.NEWLINE, "\n", line, column))
-            i += 1
-            line += 1
-            column = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            tokens.append(Token(TokenKind.NUMBER, source[start:i], line, column))
-            column += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.NAME
-            tokens.append(Token(kind, text, line, column))
-            column += i - start
-            continue
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token(TokenKind.OP, op, line, column))
-                i += len(op)
-                column += len(op)
-                break
-        else:
-            raise FrontendError(line, column, f"unexpected character {ch!r}")
-    if tokens and tokens[-1].kind is not TokenKind.NEWLINE:
-        tokens.append(Token(TokenKind.NEWLINE, "\n", line, column))
-    tokens.append(Token(TokenKind.EOF, "", line, column))
+    for line, text in enumerate(source.split("\n"), 1):
+        if tokens and tokens[-1].kind is not _NEWLINE:
+            append(_token(Token, (_NEWLINE, "\n", line - 1, column)))
+        column = len(text) + 1
+        for match in _SCAN(text):
+            group = match.lastindex
+            word = match[group]
+            start = match.start(group) + 1
+            if group < _COMMENT:
+                kind = _TEXT_KIND.get(word, _GROUP_KIND[group])
+                append(_token(Token, (kind, word, line, start)))
+            elif group == _COMMENT:
+                column = start
+            elif group == _OTHER_WORD and word[0].isalpha():
+                append(_token(Token, (TokenKind.NAME, word, line, start)))
+            else:
+                raise FrontendError(line, start, f"unexpected character {word[0]!r}")
+    if tokens and tokens[-1].kind is not _NEWLINE:
+        append(_token(Token, (_NEWLINE, "\n", line, column)))
+    append(_token(Token, (TokenKind.EOF, "", line, column)))
     return tokens

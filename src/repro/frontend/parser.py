@@ -35,142 +35,136 @@ from repro.obs.trace import traced
 from repro.resilience.faultinject import fault_point
 
 _RELATIONS = {"<", "<=", ">", ">=", "==", "!="}
+_ASSUME_RELATIONS = {"<", "<=", ">", ">=", "=="}
 _BLOCK_ENDERS = {"endloop", "endwhile", "endfor", "endif", "else"}
+#: texts that stop a statement list: a block ender, or EOF's ""
+_BODY_STOPS = _BLOCK_ENDERS | {""}
+_ADDITIVE = {"+", "-"}
+_MULTIPLICATIVE = {"*": "*", "/": "/", "%": "%", "mod": "%"}
+
+_NAME = TokenKind.NAME
+_NUMBER = TokenKind.NUMBER
 
 
 class _Parser:
+    """Recursive descent over a token list ending in EOF.
+
+    ``texts[pos]`` is the current token's text.  Names and numbers never
+    share a text with an operator or keyword, NEWLINE's text is "\\n" and
+    EOF's is "", so one string compare identifies any fixed token.  The
+    parser never moves past EOF.
+    """
+
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
+        self.texts = [token.text for token in tokens]
         self.pos = 0
 
     # ------------------------------------------------------------------
     # token plumbing
     # ------------------------------------------------------------------
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
-    def advance(self) -> Token:
+    def error(self, message: str) -> FrontendError:
         token = self.tokens[self.pos]
-        if token.kind is not TokenKind.EOF:
-            self.pos += 1
-        return token
-
-    def check(self, text: str) -> bool:
-        token = self.peek()
-        return token.kind in (TokenKind.KEYWORD, TokenKind.OP) and token.text == text
+        return FrontendError(token.line, token.column, message)
 
     def accept(self, text: str) -> bool:
-        if self.check(text):
-            self.advance()
+        if self.texts[self.pos] == text:
+            self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        if not self.check(text):
-            token = self.peek()
-            raise FrontendError(
-                token.line, token.column, f"expected {text!r}, found {token.text!r}"
-            )
-        return self.advance()
+    def expect(self, text: str) -> None:
+        if self.texts[self.pos] != text:
+            raise self.error(f"expected {text!r}, found {self.texts[self.pos]!r}")
+        self.pos += 1
 
     def expect_name(self) -> str:
-        token = self.peek()
-        if token.kind is not TokenKind.NAME:
-            raise FrontendError(
-                token.line, token.column, f"expected a name, found {token.text!r}"
-            )
-        return self.advance().text
+        token = self.tokens[self.pos]
+        if token.kind is not _NAME:
+            raise self.error(f"expected a name, found {token.text!r}")
+        self.pos += 1
+        return token.text
 
     def skip_newlines(self) -> None:
-        while self.peek().kind is TokenKind.NEWLINE:
-            self.advance()
+        texts = self.texts
+        while texts[self.pos] == "\n":
+            self.pos += 1
 
     def end_statement(self) -> None:
-        token = self.peek()
-        if token.kind is TokenKind.NEWLINE:
-            self.advance()
-        elif token.kind is not TokenKind.EOF:
-            raise FrontendError(
-                token.line, token.column, f"unexpected {token.text!r} after statement"
-            )
+        text = self.texts[self.pos]
+        if text == "\n":
+            self.pos += 1
+        elif text:
+            raise self.error(f"unexpected {text!r} after statement")
 
     # ------------------------------------------------------------------
     # statements
     # ------------------------------------------------------------------
     def parse_program(self) -> ast.Program:
-        body = self.parse_body(until=None)
-        token = self.peek()
-        if token.kind is not TokenKind.EOF:
-            raise FrontendError(token.line, token.column, f"unexpected {token.text!r}")
-        return ast.Program(body)
+        return ast.Program(self.parse_body(until=None))
 
     def parse_body(self, until: Optional[set]) -> List[ast.Statement]:
         statements: List[ast.Statement] = []
+        texts = self.texts
         while True:
             self.skip_newlines()
-            token = self.peek()
-            if token.kind is TokenKind.EOF:
-                if until:
-                    raise FrontendError(
-                        token.line, token.column, f"missing {sorted(until)}"
-                    )
-                return statements
-            if until and token.kind is TokenKind.KEYWORD and token.text in until:
-                return statements
-            if token.kind is TokenKind.KEYWORD and token.text in _BLOCK_ENDERS:
-                raise FrontendError(
-                    token.line, token.column, f"unexpected {token.text!r}"
-                )
+            text = texts[self.pos]
+            if text in _BODY_STOPS:
+                if not text:
+                    if until:
+                        raise self.error(f"missing {sorted(until)}")
+                    return statements
+                if until and text in until:
+                    return statements
+                raise self.error(f"unexpected {text!r}")
             statements.append(self.parse_statement())
 
     def parse_statement(self) -> ast.Statement:
         label: Optional[str] = None
-        if (
-            self.peek().kind is TokenKind.NAME
-            and self.peek(1).kind is TokenKind.OP
-            and self.peek(1).text == ":"
-        ):
-            label = self.advance().text
-            self.expect(":")
+        token = self.tokens[self.pos]
+        if token.kind is _NAME:
+            if self.texts[self.pos + 1] != ":":
+                return self.parse_assignment()
+            label = token.text
+            self.pos += 2
             self.skip_newlines()
+            token = self.tokens[self.pos]
 
-        token = self.peek()
+        text = token.text
         if token.kind is TokenKind.KEYWORD:
-            if token.text == "loop":
+            if text == "loop":
                 return self.parse_loop(label)
-            if token.text == "while":
+            if text == "while":
                 return self.parse_while(label)
-            if token.text == "for":
+            if text == "for":
                 return self.parse_for(label)
             if label is not None:
-                raise FrontendError(
-                    token.line, token.column, "labels may only precede loops"
-                )
-            if token.text == "if":
+                raise self.error("labels may only precede loops")
+            if text == "if":
                 return self.parse_if()
-            if token.text == "break":
-                self.advance()
+            if text == "break":
+                self.pos += 1
                 self.end_statement()
                 return ast.Break()
-            if token.text == "continue":
-                self.advance()
+            if text == "continue":
+                self.pos += 1
                 self.end_statement()
                 return ast.Continue()
-            if token.text == "return":
-                self.advance()
-                if self.peek().kind in (TokenKind.NEWLINE, TokenKind.EOF):
+            if text == "return":
+                self.pos += 1
+                if self.texts[self.pos] in ("\n", ""):
                     self.end_statement()
                     return ast.Return(None)
                 value = self.parse_expression()
                 self.end_statement()
                 return ast.Return(value)
-            if token.text == "assume":
+            if text == "assume":
                 return self.parse_assume()
-            if token.text == "array":
+            if text == "array":
                 return self.parse_array_decl()
-            raise FrontendError(token.line, token.column, f"unexpected {token.text!r}")
+            raise self.error(f"unexpected {text!r}")
         if label is not None:
-            raise FrontendError(token.line, token.column, "labels may only precede loops")
+            raise self.error("labels may only precede loops")
         return self.parse_assignment()
 
     def parse_loop(self, label: Optional[str]) -> ast.Loop:
@@ -202,10 +196,7 @@ class _Parser:
         elif self.accept("downto"):
             downward = True
         else:
-            token = self.peek()
-            raise FrontendError(
-                token.line, token.column, "expected 'to' or 'downto' in for loop"
-            )
+            raise self.error("expected 'to' or 'downto' in for loop")
         stop = self.parse_expression()
         step = None
         if self.accept("by"):
@@ -221,23 +212,16 @@ class _Parser:
         """``assume n <= 50``: a parameter fact consumed by repro.ranges."""
         self.expect("assume")
         name = self.expect_name()
-        relation = None
-        for rel in ("<=", ">=", "==", "<", ">"):
-            if self.accept(rel):
-                relation = rel
-                break
-        if relation is None:
-            token = self.peek()
-            raise FrontendError(
-                token.line, token.column, "expected a relation after 'assume'"
-            )
+        relation = self.texts[self.pos]
+        if relation not in _ASSUME_RELATIONS:
+            raise self.error("expected a relation after 'assume'")
+        self.pos += 1
         negative = self.accept("-")
-        token = self.peek()
-        if token.kind is not TokenKind.NUMBER:
-            raise FrontendError(
-                token.line, token.column, "assume bounds must be integer literals"
-            )
-        bound = int(self.advance().text)
+        token = self.tokens[self.pos]
+        if token.kind is not _NUMBER:
+            raise self.error("assume bounds must be integer literals")
+        self.pos += 1
+        bound = int(token.text)
         self.end_statement()
         return ast.AssumeStmt(name, relation, -bound if negative else bound)
 
@@ -254,14 +238,14 @@ class _Parser:
         return ast.ArrayDecl(name, tuple(extents))
 
     def parse_extent(self):
-        token = self.peek()
-        if token.kind is TokenKind.NUMBER:
-            return int(self.advance().text)
-        if token.kind is TokenKind.NAME:
-            return self.advance().text
-        raise FrontendError(
-            token.line, token.column, "array extents must be numbers or names"
-        )
+        token = self.tokens[self.pos]
+        if token.kind is _NUMBER:
+            self.pos += 1
+            return int(token.text)
+        if token.kind is _NAME:
+            self.pos += 1
+            return token.text
+        raise self.error("array extents must be numbers or names")
 
     def parse_if(self) -> ast.If:
         self.expect("if")
@@ -313,29 +297,35 @@ class _Parser:
     def parse_not(self) -> ast.Condition:
         if self.accept("not"):
             return ast.NotExpr(self.parse_not())
-        # lookahead for a parenthesized *condition* vs an expression
         return self.parse_comparison()
 
     def parse_comparison(self) -> ast.Condition:
-        if self.check("("):
+        attempt: Optional[FrontendError] = None
+        if self.texts[self.pos] == "(":
             # could be '(cond)' or the lhs expression '(a+b) < c'; try cond
             saved = self.pos
             try:
-                self.expect("(")
+                self.pos += 1
                 condition = self.parse_condition()
                 self.expect(")")
-                if not any(self.check(rel) for rel in _RELATIONS):
+                if self.texts[self.pos] not in _RELATIONS:
                     return condition
-            except FrontendError:
-                pass
+            except FrontendError as error:
+                attempt = error
             self.pos = saved
-        lhs = self.parse_expression()
-        for rel in ("<=", ">=", "==", "!=", "<", ">"):
-            if self.accept(rel):
-                rhs = self.parse_expression()
-                return ast.CompareExpr(rel, lhs, rhs)
-        token = self.peek()
-        raise FrontendError(token.line, token.column, "expected a comparison operator")
+        try:
+            lhs = self.parse_expression()
+            relation = self.texts[self.pos]
+            if relation not in _RELATIONS:
+                raise self.error("expected a comparison operator")
+            self.pos += 1
+            return ast.CompareExpr(relation, lhs, self.parse_expression())
+        except FrontendError as error:
+            # both readings failed: report the one that got further
+            if attempt is not None:
+                if (attempt.line, attempt.column) > (error.line, error.column):
+                    raise attempt from None
+            raise
 
     # ------------------------------------------------------------------
     # expressions
@@ -350,53 +340,58 @@ class _Parser:
 
     def parse_expression(self) -> ast.Expression:
         left = self.parse_term()
-        while True:
-            if self.accept("+"):
-                left = ast.BinaryExpr("+", left, self.parse_term())
-            elif self.accept("-"):
-                left = ast.BinaryExpr("-", left, self.parse_term())
-            else:
-                return left
+        texts = self.texts
+        op = texts[self.pos]
+        while op in _ADDITIVE:
+            self.pos += 1
+            left = ast.BinaryExpr(op, left, self.parse_term())
+            op = texts[self.pos]
+        return left
 
     def parse_term(self) -> ast.Expression:
         left = self.parse_factor()
-        while True:
-            if self.accept("*"):
-                left = ast.BinaryExpr("*", left, self.parse_factor())
-            elif self.accept("/"):
-                left = ast.BinaryExpr("/", left, self.parse_factor())
-            elif self.accept("%") or self.accept("mod"):
-                left = ast.BinaryExpr("%", left, self.parse_factor())
-            else:
-                return left
+        texts = self.texts
+        op = _MULTIPLICATIVE.get(texts[self.pos])
+        while op is not None:
+            self.pos += 1
+            left = ast.BinaryExpr(op, left, self.parse_factor())
+            op = _MULTIPLICATIVE.get(texts[self.pos])
+        return left
 
     def parse_factor(self) -> ast.Expression:
         base = self.parse_base()
-        if self.accept("**"):
+        if self.texts[self.pos] == "**":
+            self.pos += 1
             return ast.BinaryExpr("**", base, self.parse_factor())
         return base
 
     def parse_base(self) -> ast.Expression:
-        token = self.peek()
-        if token.kind is TokenKind.NUMBER:
-            self.advance()
+        token = self.tokens[self.pos]
+        kind = token.kind
+        if kind is _NUMBER:
+            self.pos += 1
             return ast.IntLit(int(token.text))
-        if token.kind is TokenKind.NAME:
-            name = self.advance().text
+        if kind is _NAME:
+            self.pos += 1
             if self.accept("["):
-                return ast.ArrayRef(name, self.parse_index_list())
-            return ast.Name(name)
+                return ast.ArrayRef(token.text, self.parse_index_list())
+            return ast.Name(token.text)
         if self.accept("("):
             inner = self.parse_expression()
             self.expect(")")
             return inner
         if self.accept("-"):
             return ast.UnaryExpr("-", self.parse_base())
-        raise FrontendError(token.line, token.column, f"unexpected {token.text!r}")
+        raise self.error(f"unexpected {token.text!r}")
 
 
 @traced("frontend.parse")
 def parse_program(source: str) -> ast.Program:
     """Parse source text into an AST."""
     fault_point("frontend.parse")
-    return _Parser(tokenize(source)).parse_program()
+    parser = _Parser(tokenize(source))
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        # a syntax error like any other, at the token where depth ran out
+        raise parser.error("expression nested too deeply") from None

@@ -61,6 +61,11 @@ class TestNewlinesAndComments:
         assert tokens[-2].kind is TokenKind.NEWLINE
         assert tokens[-1].kind is TokenKind.EOF
 
+    def test_newline_after_comment_sits_at_the_comment(self):
+        newline = tokenize("x = 1  # note\ny = 2")[3]
+        assert newline.kind is TokenKind.NEWLINE
+        assert (newline.line, newline.column) == (1, 8)
+
     def test_positions(self):
         tokens = tokenize("a = 1\nbb = 2")
         b_token = [t for t in tokens if t.text == "bb"][0]
@@ -80,3 +85,24 @@ class TestErrors:
             assert e.line == 1 and e.column == 5
         else:
             pytest.fail("expected FrontendError")
+
+    def test_non_decimal_digit_is_rejected(self):
+        # numeric to str.isdigit(), but not a decimal digit int() accepts
+        with pytest.raises(FrontendError) as excinfo:
+            tokenize("x = ²")
+        assert str(excinfo.value) == "1:5: unexpected character '²'"
+        with pytest.raises(FrontendError, match="1:2: unexpected character '½'"):
+            tokenize("1½")
+
+
+class TestUnicode:
+    def test_decimal_digits_beyond_ascii_are_numbers(self):
+        tokens = tokenize("x = ١٢")
+        assert tokens[2].kind is TokenKind.NUMBER
+        assert tokens[2].text == "١٢"
+
+    def test_letters_beyond_ascii_are_names(self):
+        assert [t.kind for t in tokenize("é = x²")][:3] == [
+            TokenKind.NAME, TokenKind.OP, TokenKind.NAME,
+        ]
+        assert texts("é = x²") == ["é", "=", "x²"]

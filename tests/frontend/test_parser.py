@@ -139,3 +139,22 @@ class TestErrors:
     def test_garbage(self):
         with pytest.raises(FrontendError):
             parse_program("x = ")
+
+    @pytest.mark.parametrize(
+        "source,message",
+        [
+            # the '(cond)' reading gets further than the '(expr)' one
+            ("if (a < b then\n  x = 1\nendif", "1:11: expected ')', found 'then'"),
+            (
+                "while (i < n and (j > 0) do\n  x = 1\nendwhile",
+                "1:26: expected ')', found 'do'",
+            ),
+            # the '(expr)' reading gets further than the '(cond)' one
+            ("if (a + b) then\n  x = 1\nendif", "1:12: expected a comparison operator"),
+        ],
+        ids=["if-cond", "while-nested-cond", "if-expr"],
+    )
+    def test_parenthesized_condition_reports_furthest_error(self, source, message):
+        with pytest.raises(FrontendError) as excinfo:
+            parse_program(source)
+        assert str(excinfo.value) == message
