@@ -11,7 +11,7 @@ The phase is optional and isolated behind fault point
 ``invariants.compute``; on failure ``analyze(..., invariants=True)``
 degrades to :meth:`InvariantInfo.degraded_info` and analysis continues.
 Observability mirrors the ranges phase: an ``invariants`` span and the
-``invariants.*`` metrics (loops walked, paths enumerated, dead paths
+``invariants.*`` metrics (loops walked, paths enumerated, dead edges
 pruned, equalities emitted, ranges refined).
 """
 
@@ -40,7 +40,7 @@ class InvariantInfo:
     by_loop: Dict[str, Tuple[LoopInvariant, ...]] = field(default_factory=dict)
     #: loop header -> enumerated path summary (affine or not)
     path_summaries: Dict[str, PathSummary] = field(default_factory=dict)
-    #: dead paths skipped across all loops (RNG606 verdicts)
+    #: dead edges skipped across all loops (RNG606 verdicts)
     pruned_paths: int = 0
     #: range entries tightened by invariant-implied bounds
     range_refinements: int = 0

@@ -3,8 +3,8 @@
 A loop body without nested loops is a DAG once the back edge is removed
 (any other cycle would be a second natural loop), so its iterations are
 exactly the acyclic header-to-latch paths.  :func:`enumerate_paths` walks
-them, executes each one symbolically over the header-phi symbols, and
-records what one trip down that path does to every loop-carried value:
+them, executes them symbolically over the header-phi symbols, and
+records what one trip down each path does to every loop-carried value:
 
     if c then i = i + 1 else i = i + 3 endif
     =>  path L1,then,endif:  i.2 -> i.2 + 1
@@ -14,21 +14,29 @@ The per-path update maps are what the polynomial invariant generator
 (:mod:`repro.invariants.poly`) consumes, and the path-summary set rides
 on :class:`~repro.core.driver.LoopSummary` for reports and ``explain()``.
 
-Dead paths are pruned *before* summarization when a
+Execution is shared across paths.  The enumerated paths are sorted, so
+each shares its longest common prefix with the one before it: a single
+symbolic state with a per-block undo log rewinds to that prefix and only
+the new suffix runs.  And only the backward slice of the header phis'
+back-edge operands runs -- a derived ``x = a * 3`` or a store cannot
+reach an update.  Symbolic work therefore scales with the distinct path
+prefixes times the slice, not with the paths times the body.
+
+Dead edges are pruned *before* summarization when a
 :class:`~repro.ranges.analysis.RangeInfo` is supplied: a branch condition
 with a single-constant range (the RNG606 verdict) makes one successor
-edge unreachable, and every path through it is skipped (counted in
-``pruned_paths``).
+edge unreachable, and every path through it is skipped.  ``pruned_paths``
+counts each such dead edge once, however many paths it removes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.loops import Loop
 from repro.ir.function import Function
-from repro.ir.instructions import Assign, BinOp, Branch, Phi, UnOp
+from repro.ir.instructions import Assign, BinOp, Branch, Instruction, Phi, UnOp
 from repro.ir.opcodes import BinaryOp
 from repro.ir.values import Const, Ref, Value
 from repro.ranges.interval import Interval
@@ -134,6 +142,7 @@ def enumerate_paths(
 
     prune = ranges is not None and not getattr(ranges, "degraded", True)
     paths: List[Tuple[str, ...]] = []
+    dead_edges: Set[Tuple[str, str]] = set()
 
     # iterative DFS over in-loop successors; a back edge to the header
     # completes one path, an exit edge abandons the trip
@@ -151,10 +160,10 @@ def enumerate_paths(
             cond = ranges.value_interval(block.terminator.cond)
             if cond == _POINT_TRUE:
                 successors = [block.terminator.true_target]
-                summary.pruned_paths += 1
+                dead_edges.add((label, block.terminator.false_target))
             elif cond == _POINT_FALSE:
                 successors = [block.terminator.false_target]
-                summary.pruned_paths += 1
+                dead_edges.add((label, block.terminator.true_target))
         for succ in successors:
             if succ == loop.header:
                 paths.append(path)
@@ -162,41 +171,113 @@ def enumerate_paths(
                 stack.append((succ, path + (succ,)))
             # exit edges (and the impossible in-path revisit) end the walk
 
-    executed = []
-    for path in sorted(paths):
-        executed.append(_execute_path(function, path, phis))
-    summary.paths = tuple(executed)
+    summary.pruned_paths = len(dead_edges)
+    summary.paths = _execute_paths(function, loop, header.phis(), sorted(paths))
     return summary
 
 
-def _execute_path(
-    function: Function, path: Tuple[str, ...], phis: Tuple[str, ...]
-) -> LoopPath:
-    """Joint symbolic execution of one path over the header-phi symbols."""
-    state: Dict[str, Optional[Expr]] = {phi: Expr.sym(phi) for phi in phis}
-    for position, label in enumerate(path):
-        block = function.block(label)
-        if position > 0:
-            predecessor = path[position - 1]
-            staged = {
-                phi.result: _value_expr(phi.incoming.get(predecessor), state)
-                for phi in block.phis()
-            }
-            state.update(staged)
-        for inst in block.instructions:
-            if isinstance(inst, Phi) or inst.result is None:
-                continue
-            state[inst.result] = _symbolic(inst, state)
+def _execute_paths(
+    function: Function,
+    loop: Loop,
+    header_phis: List[Phi],
+    paths: List[Tuple[str, ...]],
+) -> Tuple[LoopPath, ...]:
+    """Joint symbolic execution of the sorted ``paths`` over the header phis.
 
-    latch = path[-1]
-    header_block = function.block(path[0])
-    updates = []
-    for phi in header_block.phis():
-        if phi.result not in phis:
+    One state serves every path: ``written`` lists the names the current
+    prefix assigned, ``marks[k]`` how many of them precede its block
+    ``k``.  A new path rewinds to its common prefix with the previous one
+    (SSA: every name is assigned once, so rewinding is deleting) and
+    executes only its suffix, and only the header-phi slice of each block.
+    """
+    plan = _slice_plan(function, loop, header_phis)
+    state: Dict[str, Optional[Expr]] = {
+        phi.result: Expr.sym(phi.result) for phi in header_phis
+    }
+    written: List[str] = []
+    marks: List[int] = []
+    previous: Tuple[str, ...] = ()
+    executed = []
+    for path in paths:
+        common, limit = 0, min(len(previous), len(path))
+        while common < limit and previous[common] == path[common]:
+            common += 1
+        if common < len(marks):
+            for name in written[marks[common]:]:
+                del state[name]
+            del written[marks[common]:]
+            del marks[common:]
+        for position in range(common, len(path)):
+            marks.append(len(written))
+            block_phis, instructions = plan[path[position]]
+            if position > 0:
+                predecessor = path[position - 1]
+                staged = [
+                    (phi.result, _value_expr(phi.incoming.get(predecessor), state))
+                    for phi in block_phis
+                ]
+                for name, expr in staged:
+                    state[name] = expr
+                    written.append(name)
+            for inst in instructions:
+                state[inst.result] = _symbolic(inst, state)
+                written.append(inst.result)
+        previous = path
+
+        latch = path[-1]
+        updates = sorted(
+            (phi.result, _value_expr(phi.incoming.get(latch), state))
+            for phi in header_phis
+        )
+        executed.append(LoopPath(blocks=path, updates=tuple(updates)))
+    return tuple(executed)
+
+
+def _slice_plan(
+    function: Function, loop: Loop, header_phis: List[Phi]
+) -> Dict[str, Tuple[List[Phi], List[Instruction]]]:
+    """Per body block: its phis and instructions that can reach an update.
+
+    The slice is the header phis' back-edge operands closed over the
+    operands of every in-body definition, body phis included; everything
+    else (derived values, loads feeding only branches, stores) is dead
+    to the update maps and never executed.
+    """
+    blocks = [
+        function.blocks[label] for label in loop.body if label in function.blocks
+    ]
+    definitions: Dict[str, Instruction] = {
+        inst.result: inst
+        for block in blocks
+        for inst in block.instructions
+        if inst.result is not None
+    }
+    pending = [
+        value.name
+        for phi in header_phis
+        for predecessor, value in phi.incoming.items()
+        if predecessor in loop.body and isinstance(value, Ref)
+    ]
+    live: Set[str] = set()
+    while pending:
+        name = pending.pop()
+        if name in live:
             continue
-        updates.append((phi.result, _value_expr(phi.incoming.get(latch), state)))
-    updates.sort()
-    return LoopPath(blocks=path, updates=tuple(updates))
+        live.add(name)
+        inst = definitions.get(name)
+        if inst is not None:
+            pending.extend(v.name for v in inst.uses() if isinstance(v, Ref))
+    return {
+        block.label: (
+            [phi for phi in block.phis() if phi.result in live],
+            [
+                inst
+                for inst in block.instructions
+                if not isinstance(inst, Phi) and inst.result in live
+            ],
+        )
+        for block in blocks
+    }
 
 
 def _value_expr(

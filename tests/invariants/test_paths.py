@@ -1,6 +1,12 @@
 """Acyclic-path enumeration and per-path symbolic update maps."""
 
+import pytest
+
+from benchmarks.workloads import mixed_class_loop
+from repro.invariants import paths as paths_module
 from repro.invariants.paths import MAX_PATHS, enumerate_paths
+from repro.ir.instructions import Phi
+from repro.ir.values import Ref
 from repro.pipeline import analyze
 from repro.symbolic.expr import Expr
 
@@ -32,6 +38,12 @@ L1: while k < n do
   endif
 endwhile
 """
+
+
+#: 5 independent two-way branches = 32 paths > MAX_PATHS
+FIVE_DIAMONDS = "s = 0\nL1: for i = 1 to n do\n" + "\n".join(
+    f"  if A[i + {k}] > 0 then\n    s = s + {k + 1}\n  endif" for k in range(5)
+) + "\nendfor"
 
 
 def summarize(source, loop="L1", ranges=None, **kwargs):
@@ -74,13 +86,7 @@ endfor
         assert inner is not None and inner.complete
 
     def test_truncation_at_max_paths(self):
-        # 5 independent two-way branches = 32 paths > MAX_PATHS
-        arms = "\n".join(
-            f"  if A[i + {k}] > 0 then\n    s = s + {k + 1}\n  endif"
-            for k in range(5)
-        )
-        source = f"s = 0\nL1: for i = 1 to n do\n{arms}\nendfor"
-        summary = summarize(source)
+        summary = summarize(FIVE_DIAMONDS)
         assert summary.truncated
         assert len(summary.paths) <= MAX_PATHS
         assert not summary.complete and not summary.affine
@@ -177,3 +183,125 @@ endwhile
         summary = enumerate_paths(program.ssa, loop, program.result.ranges)
         assert summary.pruned_paths == 0
         assert len(summary.paths) == 2
+
+    @staticmethod
+    def dead_branch_loop(before, after=0, dead_branches=1):
+        """``before`` diamonds, ``dead_branches`` constant branches, then
+        ``after`` diamonds; each constant branch has one dead edge."""
+        diamond = "  if A[i + {k}] > 0 then\n    s = s + {k}\n  endif"
+        lines = ["assume c == 1", "s = 0", "L1: for i = 1 to n do"]
+        lines += [diamond.format(k=k) for k in range(before)]
+        for d in range(dead_branches):
+            lines.append(
+                f"  if c > {d - 1} then\n    s = s + 10\n"
+                f"  else\n    s = s + 20\n  endif"
+            )
+        lines += [diamond.format(k=before + k) for k in range(after)]
+        lines.append("endfor")
+        return "\n".join(lines)
+
+    def pruned(self, source):
+        program = analyze(source, ranges=True)
+        loop = program.result.loops["L1"].loop
+        return enumerate_paths(program.ssa, loop, program.result.ranges)
+
+    @pytest.mark.parametrize(
+        "before, after", [(0, 0), (1, 0), (2, 0), (3, 0), (0, 3)]
+    )
+    def test_dead_edge_counted_once(self, before, after):
+        summary = self.pruned(self.dead_branch_loop(before, after))
+        assert len(summary.paths) == 2 ** (before + after)
+        assert summary.pruned_paths == 1
+
+    def test_two_dead_branches_count_two(self):
+        # c == 1 makes both `c > -1` (true) and `c > 0` (true) constant
+        summary = self.pruned(self.dead_branch_loop(2, dead_branches=2))
+        assert len(summary.paths) == 4
+        assert summary.pruned_paths == 2
+
+
+def header_phi_slice(function, loop):
+    """Names that can reach a header phi's back-edge operand.
+
+    An independent restatement of the executor's slice: the back-edge
+    operands, closed over the operands of every in-body definition.
+    """
+    definitions = {
+        inst.result: inst
+        for label in loop.body
+        for inst in function.block(label).instructions
+        if inst.result is not None
+    }
+    header = function.block(loop.header)
+    pending = [
+        value.name
+        for phi in header.phis()
+        for pred, value in phi.incoming.items()
+        if pred in loop.body and isinstance(value, Ref)
+    ]
+    live = set()
+    while pending:
+        name = pending.pop()
+        if name not in live:
+            live.add(name)
+            if name in definitions:
+                pending.extend(
+                    v.name for v in definitions[name].uses() if isinstance(v, Ref)
+                )
+    return live
+
+
+class TestWorkBound:
+    """Each distinct path prefix is executed once, and only its slice.
+
+    ``_symbolic`` runs once per executed non-phi instruction, so its call
+    count may not exceed the sliced instructions of the distinct path
+    prefixes (the nodes of the path trie).  Re-executing the body once
+    per path -- sliced or not -- exceeds that bound on both loops.
+    """
+
+    @staticmethod
+    def symbolic_calls(monkeypatch, source):
+        program = analyze(source)
+        loop = program.result.loops["L1"].loop
+        calls = []
+        real = paths_module._symbolic
+
+        def counting(inst, state):
+            calls.append(inst.result)
+            return real(inst, state)
+
+        monkeypatch.setattr(paths_module, "_symbolic", counting)
+        summary = enumerate_paths(program.ssa, loop)
+        return program.ssa, loop, summary, len(calls)
+
+    @staticmethod
+    def sliced(function, live, label):
+        return sum(
+            1
+            for inst in function.block(label).instructions
+            if not isinstance(inst, Phi) and inst.result in live
+        )
+
+    @pytest.mark.parametrize(
+        "source",
+        [FIVE_DIAMONDS, mixed_class_loop(3, 100)],
+        ids=["five_diamonds", "mixed_class_loop"],
+    )
+    def test_symbolic_work_bounded_by_distinct_prefixes(self, monkeypatch, source):
+        function, loop, summary, calls = self.symbolic_calls(monkeypatch, source)
+        assert len(summary.paths) > 1
+        live = header_phi_slice(function, loop)
+        prefixes = {
+            path.blocks[:k]
+            for path in summary.paths
+            for k in range(1, len(path.blocks) + 1)
+        }
+        bound = sum(self.sliced(function, live, prefix[-1]) for prefix in prefixes)
+        per_path = sum(
+            self.sliced(function, live, label)
+            for path in summary.paths
+            for label in path.blocks
+        )
+        assert calls <= bound
+        assert bound < per_path  # the bound does tell the two apart
