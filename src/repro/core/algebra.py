@@ -439,7 +439,7 @@ def _exact_const_div(lhs: Expr, rhs: Expr) -> Optional[Expr]:
     divisor = rhs.constant_value()
     if divisor == 0:
         return None
-    quotient = lhs.constant_value() / divisor
+    quotient = Fraction(lhs.constant_value()) / divisor
     if quotient.denominator != 1:
         # truncating division: fold exactly for constants
         value = abs(lhs.constant_value().numerator * divisor.denominator) // abs(

@@ -30,7 +30,6 @@ variables of section 4.1 (handled by :func:`classify_trivial_header_phi`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.classes import (
@@ -51,7 +50,7 @@ from repro.ir.opcodes import BinaryOp
 from repro.ir.values import Const, Ref, Value
 from repro.obs.provenance import remember
 from repro.symbolic.closedform import ClosedForm, solve_affine_recurrence
-from repro.symbolic.expr import Expr
+from repro.symbolic.expr import Expr, Rat
 
 MAX_PATHS = 32
 
@@ -66,17 +65,17 @@ class PathEffect:
     members whose visit info was lost to merging (conservative fallback).
     """
 
-    mult: Fraction
+    mult: Rat
     addend: ClosedForm
-    visits: Dict[str, Tuple[Fraction, ClosedForm]] = field(default_factory=dict)
+    visits: Dict[str, Tuple[Rat, ClosedForm]] = field(default_factory=dict)
     through: frozenset = frozenset()
 
-    def key(self) -> Tuple[Fraction, ClosedForm]:
+    def key(self) -> Tuple[Rat, ClosedForm]:
         return (self.mult, self.addend)
 
 
 def _merge_visits(a: PathEffect, b: PathEffect) -> Tuple[Dict, frozenset]:
-    visits: Dict[str, Tuple[Fraction, ClosedForm]] = dict(a.visits)
+    visits: Dict[str, Tuple[Rat, ClosedForm]] = dict(a.visits)
     through = set(a.through) | set(b.through)
     for name, info in b.visits.items():
         if name in visits and visits[name] != info:
@@ -123,7 +122,7 @@ class _Expander:
         if name in self.in_progress:
             raise _ExpansionFailure(f"cycle avoiding the header phi at {name}")
         if name == self.header_phi:
-            base = [PathEffect(Fraction(1), ClosedForm.zero(), {name: (Fraction(1), ClosedForm.zero())}, frozenset({name}))]
+            base = [PathEffect(1, ClosedForm.zero(), {name: (1, ClosedForm.zero())}, frozenset({name}))]
             self.memo[name] = base
             return base
         self.in_progress.add(name)
@@ -154,7 +153,7 @@ class _Expander:
         if isinstance(inst, Assign):
             return self._as_effects(self.expand_value(inst.src))
         if isinstance(inst, UnOp):
-            return self._scale(self._as_effects(self.expand_value(inst.operand)), Fraction(-1))
+            return self._scale(self._as_effects(self.expand_value(inst.operand)), -1)
         if isinstance(inst, Phi):
             out: List[PathEffect] = []
             for value in inst.uses():
@@ -210,15 +209,15 @@ class _Expander:
     # -- combination helpers ---------------------------------------------
     def _as_effects(self, value) -> List[PathEffect]:
         if isinstance(value, ClosedForm):
-            return [PathEffect(Fraction(0), value)]
+            return [PathEffect(0, value)]
         return value
 
     def _negate(self, value):
         if isinstance(value, ClosedForm):
             return -value
-        return self._scale(value, Fraction(-1))
+        return self._scale(value, -1)
 
-    def _scale(self, effects: List[PathEffect], factor: Fraction) -> List[PathEffect]:
+    def _scale(self, effects: List[PathEffect], factor: Rat) -> List[PathEffect]:
         # visits dicts are shared, never mutated in place (copied on stamp)
         return [
             PathEffect(pe.mult * factor, pe.addend.scale(factor), pe.visits, pe.through)
@@ -236,7 +235,7 @@ class _Expander:
             product = pe.addend.try_mul(form)
             if product is None:
                 raise _ExpansionFailure("product not representable")
-            out.append(PathEffect(Fraction(0), product, pe.visits, pe.through))
+            out.append(PathEffect(0, product, pe.visits, pe.through))
         return out
 
     def _add(self, left, right):
@@ -302,7 +301,7 @@ def _value_label(value: Value) -> str:
     return repr(value)
 
 
-def _recurrence_rule(mult: Fraction, addend: ClosedForm) -> str:
+def _recurrence_rule(mult: Rat, addend: ClosedForm) -> str:
     """Which solver rule produced a unique-effect cycle's header class."""
     if mult == 1:
         if addend.is_zero:
@@ -417,7 +416,7 @@ def classify_cycle_scr(members: List[str], ctx) -> Dict[str, Classification]:
 
 
 def _solve_unique(
-    loop: str, mult: Fraction, addend: ClosedForm, init: Expr
+    loop: str, mult: Rat, addend: ClosedForm, init: Expr
 ) -> Optional[Classification]:
     """Solve ``x' = mult*x + addend(h)``, ``x(0) = init``; None -> fall back."""
     if mult == 1:
@@ -579,7 +578,7 @@ def _step_sort_key(expr: Expr):
     """Deterministic step order: numeric steps first, then by rendering."""
     if expr.is_constant:
         return (0, expr.constant_value(), "")
-    return (1, Fraction(0), str(expr))
+    return (1, 0, str(expr))
 
 
 def _branch_dependent_header(
@@ -798,6 +797,12 @@ def _additive_member(
     Non-decreasing needs ``f(p) - d_m(p) + d_m >= 0`` per path and next
     offset; strictness needs ``f(p) - d_m(p) + min(d_m) > 0``.
 
+    Both verdicts are conjunctions over (path addend, paired offset, next
+    offset) triples, so each distinct ``(addend, offset)`` pair is checked
+    against each distinct next offset once: repeated paths and repeated
+    offsets cannot change a conjunction.  The cost is distinct pairs
+    times distinct offsets, not paths times offsets squared.
+
     A path that bypasses ``m`` in the phi web is normally irrelevant (``m``
     is only observed when a path through it runs) -- but a member that
     executes unconditionally (``all_paths_relevant``) is observed on every
@@ -815,29 +820,29 @@ def _additive_member(
     if all_paths_relevant:
         relevant = carried_effects
 
-    nondecreasing = True
-    strict = True
+    next_offsets = list(dict.fromkeys(offsets))
+    pairs: Dict[Tuple[ClosedForm, ClosedForm], None] = {}
     for pe in relevant:
         if member in pe.visits:
-            _, offset_here = pe.visits[member]
-            candidates = [offset_here]
+            pairs[(pe.addend, pe.visits[member][1])] = None
         else:
-            candidates = offsets  # pairing lost: check all offsets
-        for offset in candidates:
-            slack = pe.addend - offset
-            # the next execution contributes its own offset: the difference
-            # is slack + d(h2), so a negative slack can be compensated by
-            # every possible next offset
-            if sign_of(slack) not in (0, 1) and not all(
-                sign_of(slack + other) in (0, 1) for other in offsets
-            ):
-                nondecreasing = False
-            # strict needs slack + min(d_m) > 0; without a provable minimum
-            # we conservatively require slack + d > 0 for every offset d
-            if not all(strict_of(slack + other) == 1 for other in offsets):
-                strict = False
-    if not nondecreasing:
-        return Unknown("member not provably monotonic")
+            for offset in next_offsets:  # pairing lost: check all offsets
+                pairs[(pe.addend, offset)] = None
+
+    strict = True
+    for addend, offset in pairs:
+        slack = addend - offset
+        # the next execution contributes its own offset: the difference
+        # is slack + d(h2), so a negative slack can be compensated by
+        # every possible next offset
+        if sign_of(slack) not in (0, 1) and not all(
+            sign_of(slack + other) in (0, 1) for other in next_offsets
+        ):
+            return Unknown("member not provably monotonic")
+        # strict needs slack + min(d_m) > 0; without a provable minimum
+        # we conservatively require slack + d > 0 for every offset d
+        if strict and not all(strict_of(slack + other) == 1 for other in next_offsets):
+            strict = False
     return Monotonic(loop, direction, strict, family=family)
 
 

@@ -172,9 +172,9 @@ class ClosedForm:
                 raise ClosedFormError("iteration number must be non-negative")
             total = Expr.zero()
             for k, coeff in enumerate(self.coeffs):
-                total = total + coeff * (Fraction(h) ** k if k else 1)
+                total = total + coeff * (h**k if k else 1)
             for base, coeff in self.geo.items():
-                total = total + coeff * (Fraction(base) ** h)
+                total = total + coeff * base**h
             return total
         if self.geo:
             raise ClosedFormError("cannot evaluate geometric terms at a symbolic iteration")
@@ -210,6 +210,12 @@ class ClosedForm:
             return self
         if not self.coeffs and not self.geo:
             return other
+        if not other.geo and len(other.coeffs) == 1:
+            # invariant addend: only coefficient 0 changes
+            c0 = self.coeff(0) + other.coeffs[0]
+            if len(self.coeffs) > 1:
+                return ClosedForm._raw((c0,) + self.coeffs[1:], dict(self.geo))
+            return ClosedForm._raw((c0,) if not c0.is_zero else (), dict(self.geo))
         n = max(len(self.coeffs), len(other.coeffs))
         coeffs = [self.coeff(k) + other.coeff(k) for k in range(n)]
         while coeffs and coeffs[-1].is_zero:
@@ -301,8 +307,12 @@ class ClosedForm:
             # (h + offset)**k = sum_j C(k, j) * offset**(k-j) * h**j
             for j in range(k + 1):
                 binom = _binomial(k, j)
-                coeffs[j] = coeffs[j] + coeff * (binom * Fraction(offset) ** (k - j))
-        geo = {base: coeff * (Fraction(base) ** offset) for base, coeff in self.geo.items()}
+                coeffs[j] = coeffs[j] + coeff * (binom * offset ** (k - j))
+        # b**offset is a Fraction only for a negative offset (a delay)
+        geo = {
+            base: coeff * (base**offset if offset >= 0 else Fraction(base) ** offset)
+            for base, coeff in self.geo.items()
+        }
         return ClosedForm(coeffs, geo)
 
     def prefix_sum(self) -> Optional["ClosedForm"]:

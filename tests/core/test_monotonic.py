@@ -182,3 +182,79 @@ class TestAlgebraCombinations:
         )
         j = p.classification(p.ssa_names("j")[0])
         assert j.family is None
+
+
+class TestMemberRuleWorkBound:
+    """The per-member strictness rule checks each distinct case once.
+
+    ``_additive_member`` may call ``closedform_strict_sign`` at most
+    (distinct ``(path addend, paired offset)`` pairs) x (distinct next
+    offsets) times per member: its verdicts are conjunctions, so a
+    repeated path or offset adds no information.
+    """
+
+    #: a mixed_class_loop whose branchy counter has repeated path addends
+    BRANCHY_SEED, BRANCHY_SIZE = 2, 30
+
+    @staticmethod
+    def _bound(member, effects, carried_effects, all_paths_relevant):
+        offsets = list(dict.fromkeys(pe.addend for pe in effects))
+        relevant = [pe for pe in carried_effects if member in pe.through]
+        if all_paths_relevant:
+            relevant = carried_effects
+        pairs = set()
+        for pe in relevant:
+            if member in pe.visits:
+                pairs.add((pe.addend, pe.visits[member][1]))
+            else:
+                pairs.update((pe.addend, offset) for offset in offsets)
+        return len(pairs) * len(offsets)
+
+    def _measure(self, monkeypatch, source):
+        from repro.core import scr
+
+        counted = {"calls": None}
+        per_member = []
+        strict_sign = scr.closedform_strict_sign
+        additive_member = scr._additive_member
+
+        def counting_strict_sign(form):
+            if counted["calls"] is not None:
+                counted["calls"] += 1
+            return strict_sign(form)
+
+        def measured_member(loop, member, direction, effects, carried_effects, *args, **kwargs):
+            counted["calls"] = 0
+            try:
+                return additive_member(
+                    loop, member, direction, effects, carried_effects, *args, **kwargs
+                )
+            finally:
+                bound = self._bound(
+                    member, effects, carried_effects, kwargs.get("all_paths_relevant", False)
+                )
+                per_member.append((member, counted["calls"], bound))
+                counted["calls"] = None
+
+        monkeypatch.setattr(scr, "closedform_strict_sign", counting_strict_sign)
+        monkeypatch.setattr(scr, "_additive_member", measured_member)
+        analyze_src(source)
+        return per_member
+
+    def _assert_within_bound(self, per_member):
+        assert per_member, "the monotonic member rule never ran"
+        over = [(m, calls, bound) for m, calls, bound in per_member if calls > bound]
+        assert not over, f"strictness checks above the distinct-case bound: {over}"
+
+    def test_branchy_counters_example(self, monkeypatch):
+        import os
+
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        with open(os.path.join(root, "examples", "branchy_counters.loop")) as handle:
+            source = handle.read()
+        self._assert_within_bound(self._measure(monkeypatch, source))
+
+    def test_branchy_mixed_class_loop(self, monkeypatch):
+        from benchmarks.workloads import mixed_class_loop
+
+        self._assert_within_bound(self._measure(monkeypatch, mixed_class_loop(self.BRANCHY_SEED, self.BRANCHY_SIZE)))
