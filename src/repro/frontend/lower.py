@@ -350,8 +350,9 @@ class _Lowerer:
         if stmt.var in self.arrays:
             raise FrontendError(0, 0, f"array {stmt.var!r} used as a loop variable")
         self.scalars.add(stmt.var)
-        # initial value and (once-evaluated) limit & step
-        self.lower_expr(stmt.start, target=stmt.var)
+        # the (once-evaluated) limit & step, then the initial value: the
+        # bounds are read before the loop variable is bound, so a limit
+        # that names the loop variable sees its value before the loop
         limit = self.lower_expr(stmt.stop)
         if isinstance(limit, Ref) and not limit.name.startswith("$"):
             # copy into a temp so reassignment of the limit variable in the
@@ -367,6 +368,7 @@ class _Lowerer:
             fresh = self.temp()
             self.current.append(Assign(fresh, step))
             step = Ref(fresh)
+        self.lower_expr(stmt.start, target=stmt.var)
 
         header_label = self.loop_label(stmt.label)
         header = self.function.add_block(header_label)

@@ -965,8 +965,9 @@ class _PyLowerer:
             else:
                 start, stop = args[0], args[1]
             step = _const_int(args[2]) if len(args) == 3 else 1
-            self.lower_expr(start, target=var)
+            # range() evaluates its bounds before the first binding of var
             limit = self.once(self.lower_expr(stop))
+            self.lower_expr(start, target=var)
             counter = var
         else:
             array = stmt.iter.id  # validated: a list parameter

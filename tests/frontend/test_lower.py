@@ -173,3 +173,51 @@ class TestContinue:
             "  s = s + 1\nendfor"
         )
         assert p.classification(p.ssa_name("i", "L1")).describe() == "(L1, 1, 1)"
+
+
+class TestForBoundsBeforeBinding:
+    """The limit and step are read before the loop variable is bound
+    (Fortran DO, CPython ``range``): a limit naming the loop variable
+    sees its value before the loop.  Each case is compared against the
+    equivalent CPython loop."""
+
+    @staticmethod
+    def _cpython(body):
+        env = {"__builtins__": {"range": range}}
+        exec("def f():\n" + body, env)
+        return env["f"]()
+
+    def test_limit_names_the_loop_variable(self):
+        f = lower("i = 5\nc = 0\nfor i = 1 to i do\n  c = c + 1\nendfor\nreturn c")
+        expected = self._cpython(
+            "    i = 5\n    c = 0\n    for i in range(1, i + 1):\n        c = c + 1\n    return c\n"
+        )
+        assert expected == 5
+        assert Interpreter(f).run({}).return_value == expected
+
+    def test_limit_reassigned_in_body(self):
+        f = lower(
+            "n = 4\nc = 0\nfor i = 1 to n do\n  n = n + 1\n  c = c + 1\nendfor\nreturn c"
+        )
+        expected = self._cpython(
+            "    n = 4\n    c = 0\n    for i in range(1, n + 1):\n"
+            "        n = n + 1\n        c = c + 1\n    return c\n"
+        )
+        assert expected == 4
+        assert Interpreter(f).run({}).return_value == expected
+
+    def test_step_and_limit_name_the_loop_variable(self):
+        f = lower(
+            "i = 9\nc = 0\nfor i = 1 to i by i - 6 do\n  c = c + i\nendfor\nreturn c"
+        )
+        expected = self._cpython(
+            "    i = 9\n    c = 0\n    for i in range(1, i + 1, i - 6):\n"
+            "        c = c + i\n    return c\n"
+        )
+        assert Interpreter(f).run({}).return_value == expected == 1 + 4 + 7
+
+    def test_trip_count_uses_the_limit_before_binding(self):
+        from repro.pipeline import analyze
+
+        p = analyze("i = 5\nc = 0\nL1: for i = 1 to i do\n  c = c + 1\nendfor")
+        assert p.result.trip_count("L1").constant() == 5

@@ -25,9 +25,9 @@ CORPUS = Path(__file__).parent / "corpus"
 #: sha256 of ``render(compile_module(text, origin=name))`` per corpus file
 GOLDEN = {
     "degrade.py": "ab885d9e7e1c29be544923a7afbd592ff0795bab9ba816f3a821fe0f6c912782",
-    "kernels.py": "8a71123e217119283aae9ad871c071fa626b54b75861c4e7208a481c3788496e",
-    "numeric.py": "9b1e68f012158eef2786acee7579571618efd29b0241231779418d51a2df6a45",
-    "search.py": "89a8d11b57bb43445cf15f728771c9ab1c8573cf7b9bac0716878f3f6db3aa7c",
+    "kernels.py": "117efcaf65c8cb4301d7ab87105dc9293ec83ae1cc522e3f66d64cb1c8be8103",
+    "numeric.py": "bc95c0b434e716998ad40bdaafaf81feaf983fc2053c516c9ed03a130394503d",
+    "search.py": "104ea6031376bbd98675869a5c58ed5c7eba194513b6ad017802e8c3635c5a40",
 }
 
 

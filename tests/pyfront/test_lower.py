@@ -204,6 +204,55 @@ class TestLoops:
         assert run(cf, {"n": 4}).return_value == 12
 
 
+class TestRangeBoundsBeforeBinding:
+    """``range`` evaluates its bounds before the loop variable is bound:
+    IR and CPython must agree when a bound names the loop variable or the
+    body reassigns the limit."""
+
+    @staticmethod
+    def _cpython(source, **args):
+        env = {"__builtins__": {"range": range}}
+        exec(textwrap.dedent(source), env)
+        return env["f"](**args)
+
+    CASES = {
+        "limit_names_loop_variable": """
+            def f(i):
+                c = 0
+                for i in range(1, i + 1):
+                    c = c + 1
+                return c
+            """,
+        "bare_limit_is_loop_variable": """
+            def f(i):
+                c = 0
+                for i in range(i):
+                    c = c + i
+                return c
+            """,
+        "limit_reassigned_in_body": """
+            def f(i):
+                n = i
+                c = 0
+                for k in range(n):
+                    n = n - 1
+                    c = c + 1
+                return c + n
+            """,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("i", [-2, 0, 1, 5])
+    def test_ir_matches_cpython(self, case, i):
+        source = self.CASES[case]
+        expected = self._cpython(source, i=i)
+        assert run(compile_one(source), {"i": i}).return_value == expected
+
+    def test_roadmap_example_returns_five(self):
+        cf = compile_one(self.CASES["limit_names_loop_variable"])
+        assert run(cf, {"i": 5}).return_value == 5
+
+
 class TestConditions:
     def test_chained_comparison_short_circuits(self):
         cf = compile_one(
