@@ -49,7 +49,7 @@ from repro.ir.instructions import (
     Store,
     UnOp,
 )
-from repro.ir.opcodes import BinaryOp
+from repro.ir.opcodes import BinaryOp, exceeds_fold_bound
 from repro.ir.values import Const, Ref
 from repro.symbolic.closedform import ClosedForm
 from repro.symbolic.expr import Expr
@@ -404,6 +404,8 @@ def _classify_binop(node, op: BinaryOp, lhs, rhs, ctx) -> Classification:
     if op is BinaryOp.SUB:
         return cls_sub(loop, lhs, rhs)
     if op is BinaryOp.MUL:
+        if _wide_constant_product(lhs, rhs):
+            return Invariant(ctx.opaque(("mul", lhs.expr, rhs.expr)), loop=loop)
         return cls_mul(loop, lhs, rhs)
     if op is BinaryOp.DIV:
         if isinstance(lhs, Invariant) and isinstance(rhs, Invariant):
@@ -431,6 +433,18 @@ def _classify_binop(node, op: BinaryOp, lhs, rhs, ctx) -> Classification:
     if op is BinaryOp.EXP:
         return _classify_exp(loop, lhs, rhs, ctx)
     return Unknown(f"operator {op}")
+
+
+def _wide_constant_product(lhs, rhs) -> bool:
+    """Both operands are integer constants whose product may exceed ``FOLD_BITS``."""
+    if not (isinstance(lhs, Invariant) and isinstance(rhs, Invariant)):
+        return False
+    if not (lhs.expr.is_constant and rhs.expr.is_constant):
+        return False
+    a, b = lhs.expr.constant_value(), rhs.expr.constant_value()
+    if not (isinstance(a, int) and isinstance(b, int)):
+        return False
+    return exceeds_fold_bound(BinaryOp.MUL, a, b)
 
 
 def _exact_const_div(lhs: Expr, rhs: Expr) -> Optional[Expr]:
@@ -502,7 +516,7 @@ def _classify_exp(loop: str, lhs, rhs, ctx) -> Classification:
             try:
                 base = lhs.expr.as_int()
                 power = rhs.expr.as_int()
-                if power >= 0:
+                if power >= 0 and not exceeds_fold_bound(BinaryOp.EXP, base, power):
                     return Invariant(Expr.const(base**power), loop=loop)
             except Exception:
                 pass
@@ -522,6 +536,8 @@ def _classify_exp(loop: str, lhs, rhs, ctx) -> Classification:
                 i0 = init.as_int()
                 s = step.as_int()
             except Exception:
+                return Unknown("exponent")
+            if exceeds_fold_bound(BinaryOp.EXP, base, max(i0, s)):
                 return Unknown("exponent")
             if i0 >= 0 and s > 0 and base not in (0, 1, -1):
                 geo_base = base**s

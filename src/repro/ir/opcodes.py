@@ -28,6 +28,24 @@ class BinaryOp(enum.Enum):
         return self.value
 
 
+#: widest constant, in bits, that SCCP and the classifier fold from ``*``
+#: or ``**`` of constants; a possibly wider result stays symbolic
+FOLD_BITS = 4096
+
+
+def exceeds_fold_bound(op: BinaryOp, lhs: int, rhs: int) -> bool:
+    """True when ``lhs op rhs`` may be wider than :data:`FOLD_BITS` bits.
+
+    Checked before the result is computed, so an enormous ``**`` is never
+    evaluated.  Powers of 0, 1 and -1 always fit.
+    """
+    if op is BinaryOp.MUL:
+        return lhs.bit_length() + rhs.bit_length() > FOLD_BITS
+    if op is BinaryOp.EXP:
+        return abs(lhs) > 1 and rhs * lhs.bit_length() > FOLD_BITS
+    return False
+
+
 class Relation(enum.Enum):
     """Integer comparison relations for Compare/Branch and trip counts."""
 
