@@ -295,8 +295,12 @@ def _degraded_from_named(
     return program
 
 
-def _run_scalar_passes(ssa: Function) -> None:
-    """The optimize phase body (raises; isolation is the caller's job)."""
+def _run_scalar_passes(ssa: Function) -> DominatorTree:
+    """The optimize phase body (raises; isolation is the caller's job).
+
+    None of the passes edits the CFG, so one dominator tree serves GVN in
+    every round and is returned for loop detection.
+    """
     from repro.ir.verify import verify_function
     from repro.scalar.copyprop import propagate_copies
     from repro.scalar.gvn import run_gvn
@@ -304,19 +308,21 @@ def _run_scalar_passes(ssa: Function) -> None:
     from repro.scalar.simplify import simplify_instructions
 
     with _trace.span("pipeline.optimize"), _budget.phase_deadline("optimize"):
+        domtree = dominator_tree(ssa)
         for _ in range(3):
             _budget.check_deadline("optimize")
             run_sccp(ssa)
             sanitizer.checkpoint(ssa, "sccp")
             changed = simplify_instructions(ssa)
             sanitizer.checkpoint(ssa, "simplify")
-            changed += run_gvn(ssa)
+            changed += run_gvn(ssa, domtree)
             sanitizer.checkpoint(ssa, "gvn")
             changed += propagate_copies(ssa)
             sanitizer.checkpoint(ssa, "copyprop")
             if not changed:
                 break
     verify_function(ssa, ssa=True)
+    return domtree
 
 
 def _analyze_function(
@@ -339,9 +345,12 @@ def _analyze_function(
         _isolation.absorb(error, "ssa.construct", diag_code="RES505")
         return _degraded_from_named(named, source, log)
     sanitizer.checkpoint(ssa, "construct-ssa")
+    # the optimize phase's dominator tree, reused for loop detection; it
+    # is dropped together with any SSA a failed phase left behind
+    domtree: Optional[DominatorTree] = None
     if optimize:
         try:
-            _run_scalar_passes(ssa)
+            domtree = _run_scalar_passes(ssa)
         except Exception as error:  # noqa: BLE001 - phase boundary
             wrapped = wrap_exception(error, "pipeline.optimize")
             retry_ok = False
@@ -361,12 +370,13 @@ def _analyze_function(
                 try:
                     ssa = clone_function(named)
                     ssa_info = construct_ssa(ssa)
-                    _run_scalar_passes(ssa)
+                    domtree = _run_scalar_passes(ssa)
                     retry_ok = True
                 except Exception as retry_error:  # noqa: BLE001
                     error = retry_error
                     wrapped = wrap_exception(error, "pipeline.optimize")
             if not retry_ok:
+                domtree = None
                 _isolation.absorb(
                     error,
                     wrapped.phase or "pipeline.optimize",
@@ -382,7 +392,8 @@ def _analyze_function(
                     )
                     return _degraded_from_named(named, source, log)
     try:
-        domtree = dominator_tree(ssa)
+        if domtree is None:
+            domtree = dominator_tree(ssa)
         nest = find_loops(ssa, domtree)
     except Exception as error:  # noqa: BLE001 - whole-function boundary
         _isolation.absorb(error, "analysis.loops", diag_code="RES505")

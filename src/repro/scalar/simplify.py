@@ -15,6 +15,9 @@ from repro.ir.values import Const, Ref, Value
 from repro.obs.trace import traced
 from repro.resilience.faultinject import fault_point
 
+_ZERO = Const(0)
+_ONE = Const(1)
+
 
 @traced("scalar.simplify")
 def simplify_instructions(function: Function) -> int:
@@ -60,8 +63,7 @@ def _simplify(inst):
         return None
 
     lhs, rhs, op = inst.lhs, inst.rhs, inst.op
-    zero = Const(0)
-    one = Const(1)
+    zero, one = _ZERO, _ONE
 
     if op is BinaryOp.ADD:
         if lhs == zero:
