@@ -20,6 +20,7 @@ perfbench-smoke:
 	python3 perfbench/run.py --workload dsl_chain --seed 1 --seconds 3 --trace 1
 	python3 perfbench/run.py --workload dsl_mixed --seed 1 --seconds 3 --trace 1
 	python3 perfbench/run.py --workload serve_editor --seed 1 --seconds 3 --trace 1
+	python3 perfbench/run.py --workload py_corpus --seed 1 --seconds 3 --trace 1
 
 ranges:
 	$(PYTHON) -m repro lint --strict --ranges examples/
