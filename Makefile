@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint pylint perfbench-test perfbench-smoke ranges invariants chaos stats bench bench-check bench-baseline bench-diff report serve loadtest
+.PHONY: test lint pylint goldens perfbench-test perfbench-smoke ranges invariants chaos stats bench bench-check bench-baseline bench-diff report serve loadtest
 
 test:
 	$(PYTHON) -m pytest -m "not bench" -q
@@ -12,6 +12,15 @@ lint:
 pylint:
 	$(PYTHON) -m repro pylint src/repro tests/pyfront/corpus \
 		--fail-on error --out pylint-findings.json
+
+# every golden's digests in one run (seeds 1-10 where the golden has
+# seeds): run in two checkouts and diff the outputs
+goldens:
+	$(PYTHON) -m tests.frontend.test_parse_golden
+	$(PYTHON) -m tests.scalar.test_scalar_golden
+	$(PYTHON) -m tests.core.test_classify_golden
+	$(PYTHON) -m tests.invariants.test_paths_golden
+	$(PYTHON) -m tests.ranges.test_ranges_golden
 
 perfbench-test:
 	$(PYTHON) -m pytest perfbench/test_bench.py -q
