@@ -170,7 +170,8 @@ class Expr:
 
     @property
     def is_constant(self) -> bool:
-        return all(mono == _ONE_MONO for mono in self._terms)
+        terms = self._terms
+        return not terms or (len(terms) == 1 and _ONE_MONO in terms)
 
     def constant_value(self) -> Rat:
         """The value of a constant expression; raises if symbolic."""

@@ -109,6 +109,45 @@ def test_assumed_ranges_sound_for_conforming_arguments(case):
     assert_history_within_ranges(program, {"n": n})
 
 
+@st.composite
+def accumulations(draw):
+    """``t = t + s``: summing another variable gives polynomial forms."""
+    target = draw(st.sampled_from(VARS))
+    source = draw(st.sampled_from(VARS))
+    return f"{target} = {target} + {source}"
+
+
+@st.composite
+def unbounded_programs(draw):
+    """``for i = 1 to n`` with no ``assume``: the trip range is ``[0, +inf)``.
+
+    Every closed form is then evaluated over a half-line of iterations,
+    which per-point enumeration never covers.
+    """
+    step = st.one_of(statements(), accumulations())
+    body = [f"  {draw(step)}" for _ in range(draw(st.integers(1, 4)))]
+    lines = (
+        [f"{v} = {draw(st.integers(min_value=-4, max_value=4))}" for v in VARS]
+        + ["L1: for i = 1 to n do"]
+        + body
+        + ["endfor"]
+    )
+    return "\n".join(lines)
+
+
+#: trip counts each unbounded program runs with (negative and zero-trip too)
+UNBOUNDED_TRIPS = (-1, 0, 1, 2, 5, 12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unbounded_programs())
+def test_unbounded_trip_ranges_sound(source):
+    program = analyze(source, ranges=True)
+    assert program.result.ranges.trip_upper_bound("L1") is None
+    for n in UNBOUNDED_TRIPS:
+        assert_history_within_ranges(program, {"n": n})
+
+
 def test_examples_corpus_is_sound():
     """Every embedded example program passes the oracle on fixed samples."""
     import os
