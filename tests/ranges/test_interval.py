@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from repro.ranges.interval import NEG_INF, POS_INF, Bound, Interval
 
@@ -131,3 +133,36 @@ class TestIntervalAlgebra:
         assert repr(Interval(1, 50)) == "[1, 50]"
         assert repr(Interval.top()) == "[-inf, +inf]"
         assert repr(Interval.empty_interval()) == "Interval(empty)"
+
+
+finite_values = st.one_of(
+    st.integers(min_value=-2000, max_value=2000),
+    st.fractions(min_value=-50, max_value=50, max_denominator=6),
+)
+
+
+@st.composite
+def intervals(draw):
+    """Non-empty intervals with int, Fraction or infinite endpoints."""
+    a, b = sorted((draw(finite_values), draw(finite_values)))
+    lo = NEG_INF if draw(st.booleans()) else Bound.of(a)
+    hi = POS_INF if draw(st.booleans()) else Bound.of(b)
+    return Interval(lo, hi)
+
+
+class TestFastPathsMatchBoundOperators:
+    """``__add__``/``intersect`` read finite values directly; same results."""
+
+    @given(intervals(), intervals())
+    def test_addition(self, a, b):
+        assert a + b == Interval(a.lo + b.lo, a.hi + b.hi)
+
+    @given(intervals(), intervals())
+    def test_intersection(self, a, b):
+        lo = a.lo if a.lo >= b.lo else b.lo
+        hi = a.hi if a.hi <= b.hi else b.hi
+        meet = a.intersect(b)
+        if lo > hi:
+            assert meet.empty
+        else:
+            assert meet == Interval(lo, hi)
