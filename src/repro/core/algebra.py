@@ -370,11 +370,14 @@ def classify_operator(node, ctx) -> Classification:
         return cls_neg(loop, ctx.operand_class(inst.operand))
     if isinstance(inst, Phi):
         # a merge that is not part of any cycle: all inputs must agree
-        classes = [ctx.operand_class(v) for v in inst.incoming.values()]
+        values = list(inst.incoming.values())
+        classes = [ctx.operand_class(v) for v in values]
         first = classes[0]
-        if all(c == first for c in classes[1:]):
-            return first
-        return Unknown("merge of unequal classifications")
+        if not all(c == first for c in classes[1:]):
+            return Unknown("merge of unequal classifications")
+        if not _pins_values(first) and any(v != values[0] for v in values[1:]):
+            return Unknown("merge of distinct monotonic values")
+        return first
     if isinstance(inst, Load):
         if ctx.array_stored_in_loop(inst.array):
             return Unknown("load from array stored in loop")
@@ -395,6 +398,20 @@ def classify_operator(node, ctx) -> Classification:
         rhs = ctx.operand_class(inst.rhs)
         return _classify_binop(node, inst.op, lhs, rhs, ctx)
     return Unknown(f"unhandled instruction {type(inst).__name__}")
+
+
+def _pins_values(cls: Classification) -> bool:
+    """Whether two equal classifications mean equal values on every iteration.
+
+    Invariants, closed forms and periodic sequences compare by value.  Two
+    monotonic or branch-dependent classes compare only by loop and
+    direction (or step set): ``a`` and ``a + 1`` are both increasing, yet
+    a merge that takes ``a + 1`` on one iteration and ``a`` on the next
+    moves backwards.
+    """
+    if isinstance(cls, WrapAround):
+        return _pins_values(cls.inner)
+    return isinstance(cls, (Invariant, InductionVariable, Periodic))
 
 
 def _classify_binop(node, op: BinaryOp, lhs, rhs, ctx) -> Classification:

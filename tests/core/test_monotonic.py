@@ -1,6 +1,11 @@
 """Monotonic variable detection (paper section 4.4, Figure 10)."""
 
-from tests.conftest import analyze_src, assert_closed_forms_match_execution, classification_by_var
+from tests.conftest import (
+    analyze_src,
+    assert_closed_forms_match_execution,
+    classification_by_var,
+    run_ssa,
+)
 from repro.core.classes import BranchDependent, Monotonic, Unknown
 
 
@@ -258,3 +263,44 @@ class TestMemberRuleWorkBound:
         from benchmarks.workloads import mixed_class_loop
 
         self._assert_within_bound(self._measure(monkeypatch, mixed_class_loop(self.BRANCHY_SEED, self.BRANCHY_SIZE)))
+
+
+class TestMergeOfMonotonicValues:
+    """A merge outside every cycle of two different increasing values.
+
+    ``b`` is ``a + 1`` after the first iteration and ``a`` after the
+    second (2, then 1): each input of the merge increases, the merge does
+    not.  Equal monotonic classes say nothing about equal values.
+    """
+
+    SOURCE = (
+        "a = 0\nb = 0\nL1: for i = 1 to 2 do\n  b = b + 0\n"
+        "  if i % 3 == 1 then\n    a = a + 1\n  endif\n  b = a + 0\n"
+        "  if i % 3 == 1 then\n    b = b + 1\n  endif\nendfor"
+    )
+
+    def test_merge_is_not_monotonic(self):
+        p = analyze_src(self.SOURCE)
+        merges = [
+            inst.result
+            for block in p.ssa
+            if block.label != "L1"
+            for inst in block.phis()
+            if inst.result.startswith("b.")
+        ]
+        assert len(merges) == 1
+        merged = p.classification(merges[0])
+        assert isinstance(merged, Unknown)
+        assert run_ssa(p).value_history[merges[0]] == [2, 1]
+
+    def test_every_monotonic_name_moves_one_way(self):
+        p = analyze_src(self.SOURCE)
+        history = run_ssa(p).value_history
+        for name in p.ssa.definitions():
+            cls = p.classification(name)
+            if isinstance(cls, Monotonic):
+                values = history.get(name, [])
+                assert all(
+                    (later - earlier) * cls.direction >= 0
+                    for earlier, later in zip(values, values[1:])
+                ), (name, values)
