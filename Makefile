@@ -21,6 +21,7 @@ goldens:
 	$(PYTHON) -m tests.core.test_classify_golden
 	$(PYTHON) -m tests.invariants.test_paths_golden
 	$(PYTHON) -m tests.ranges.test_ranges_golden
+	$(PYTHON) -m tests.diagnostics.test_verifier_golden
 
 perfbench-test:
 	$(PYTHON) -m pytest perfbench/test_bench.py -q
