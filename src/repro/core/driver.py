@@ -109,7 +109,12 @@ class RegionContext:
         self.loop_label = loop.header
         self.header = loop.header
         self.nodes = nodes
-        self.result = result
+        # the three things read from the result, held directly: holding
+        # the result would close a cycle through ``LoopSummary.region_ctx``
+        # and leave every analyzed program to the cyclic garbage collector
+        self._def_block = result._def_block
+        self.domtree = result.domtree
+        self.opaque = result.opaque
         self.classifications: Dict[str, Classification] = {}
         self._stored_arrays: Optional[Set[str]] = None
         # memo for constant / loop-external operand classes: those are
@@ -170,7 +175,7 @@ class RegionContext:
             cached = self._operand_memo.get(value.name)
             if cached is not None:
                 return cached
-            block = self.result._def_block.get(value.name)
+            block = self._def_block.get(value.name)
             if block is not None and block in self.loop.body:
                 # defined inside the loop (in a nested loop) but never
                 # summarized into this region: not invariant here
@@ -197,9 +202,6 @@ class RegionContext:
 
     def invariant_symbol(self, name: str) -> Expr:
         return Expr.sym(name)
-
-    def opaque(self, key: tuple) -> Expr:
-        return self.result.opaque(key)
 
     def array_stored_in_loop(self, array: str) -> bool:
         if self._stored_arrays is None:
@@ -272,6 +274,29 @@ def _degraded_summary(
     )
 
 
+class OpaqueSymbols:
+    """The opaque invariant symbols ``$k1``, ``$k2``, ... of one function.
+
+    Calling the table with a key returns that key's symbol, minting it on
+    first use, so the same key gets the same symbol in every loop.
+    """
+
+    __slots__ = ("_symbols", "definitions")
+
+    def __init__(self):
+        self._symbols: Dict[tuple, Expr] = {}
+        #: symbol name -> the key it stands for
+        self.definitions: Dict[str, tuple] = {}
+
+    def __call__(self, key: tuple) -> Expr:
+        symbol = self._symbols.get(key)
+        if symbol is None:
+            name = f"$k{len(self._symbols) + 1}"
+            symbol = self._symbols[key] = Expr.sym(name)
+            self.definitions[name] = key
+        return symbol
+
+
 class AnalysisResult:
     """Results of :func:`classify_function` for a whole function."""
 
@@ -285,8 +310,8 @@ class AnalysisResult:
         self.ranges = None
         #: optional InvariantInfo attached by the pipeline's invariants phase
         self.invariants = None
-        self._opaque: Dict[tuple, Expr] = {}
-        self.opaque_definitions: Dict[str, tuple] = {}
+        self.opaque = OpaqueSymbols()
+        self.opaque_definitions = self.opaque.definitions
         self._def_block: Dict[str, str] = {
             name: block for name, (block, _inst) in function.definitions().items()
         }
@@ -311,14 +336,6 @@ class AnalysisResult:
         whole-function walk, cached) instead of scanning the block.
         """
         return self.function.def_site(name)
-
-    # -- opaque invariant symbols -----------------------------------------
-    def opaque(self, key: tuple) -> Expr:
-        if key not in self._opaque:
-            symbol = f"$k{len(self._opaque) + 1}"
-            self._opaque[key] = Expr.sym(symbol)
-            self.opaque_definitions[symbol] = key
-        return self._opaque[key]
 
     # -- lookups -----------------------------------------------------------
     def defining_loop(self, name: str) -> Optional[Loop]:
@@ -646,12 +663,9 @@ def _analyze_loop(
         registry.inc("tarjan.edges", stats.edge_count)
         registry.inc("tarjan.scrs", stats.scr_count)
 
-    def class_of_value(value: Value) -> Classification:
-        return ctx.operand_class(value)
-
     try:
         fault_point("classify.tripcount")
-        trip = compute_trip_count(function, loop, class_of_value, result.opaque)
+        trip = compute_trip_count(function, loop, ctx.operand_class, ctx.opaque)
     except Exception as error:  # noqa: BLE001 - keep the classifications
         _isolation.absorb(
             error, "classify.tripcount", scope=loop.header, diag_code="RES501"

@@ -613,9 +613,9 @@ def _classify_branch_dependent(
         header_class,
         "scr.branch-dependent",
         ((_value_label(init_value), ctx.operand_class_of_value(init_value)),),
-        note=lambda header_class=header_class: (
-            f"{len(header_class.steps)} distinct per-path updates "
-            f"{{{', '.join(str(s) for s in header_class.steps)}}}; "
+        note=lambda steps=header_class.steps: (
+            f"{len(steps)} distinct per-path updates "
+            f"{{{', '.join(str(s) for s in steps)}}}; "
             "every carried path is x' = x + step (path-sensitive section 4.4)"
         ),
     )
@@ -678,7 +678,7 @@ def _unconditional_in_loop(ctx, member: str) -> bool:
     node = ctx.node(member)
     if node is None or node.block is None:
         return False
-    domtree = ctx.result.domtree
+    domtree = ctx.domtree
     latches = ctx.loop.latches
     return bool(latches) and all(
         domtree.dominates(node.block, latch) for latch in latches

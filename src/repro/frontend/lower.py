@@ -65,83 +65,90 @@ _RELATIONS = {
 
 def analyze_names(program: ast.Program) -> Tuple[List[str], List[str]]:
     """Infer (params, arrays) from use order, as documented above."""
-    params: List[str] = []
-    arrays: List[str] = []
-    written: Set[str] = set()
-
-    def note_read(name: str) -> None:
-        if name not in written and name not in params:
-            params.append(name)
-
-    def note_array(name: str) -> None:
-        if name not in arrays:
-            arrays.append(name)
-
-    def walk_expr(expr: ast.Expression) -> None:
-        if isinstance(expr, ast.Name):
-            note_read(expr.name)
-        elif isinstance(expr, ast.ArrayRef):
-            note_array(expr.array)
-            for index in expr.indices:
-                walk_expr(index)
-        elif isinstance(expr, ast.BinaryExpr):
-            walk_expr(expr.lhs)
-            walk_expr(expr.rhs)
-        elif isinstance(expr, ast.UnaryExpr):
-            walk_expr(expr.operand)
-
-    def walk_cond(cond: ast.Condition) -> None:
-        if isinstance(cond, ast.CompareExpr):
-            walk_expr(cond.lhs)
-            walk_expr(cond.rhs)
-        elif isinstance(cond, ast.BoolExpr):
-            walk_cond(cond.lhs)
-            walk_cond(cond.rhs)
-        elif isinstance(cond, ast.NotExpr):
-            walk_cond(cond.operand)
-
-    def walk_body(body: List[ast.Statement]) -> None:
-        for stmt in body:
-            if isinstance(stmt, ast.Assign):
-                walk_expr(stmt.value)
-                written.add(stmt.target)
-            elif isinstance(stmt, ast.StoreStmt):
-                note_array(stmt.array)
-                for index in stmt.indices:
-                    walk_expr(index)
-                walk_expr(stmt.value)
-            elif isinstance(stmt, ast.If):
-                walk_cond(stmt.condition)
-                walk_body(stmt.then_body)
-                walk_body(stmt.else_body)
-            elif isinstance(stmt, ast.Loop):
-                walk_body(stmt.body)
-            elif isinstance(stmt, ast.WhileLoop):
-                walk_cond(stmt.condition)
-                walk_body(stmt.body)
-            elif isinstance(stmt, ast.ForLoop):
-                walk_expr(stmt.start)
-                walk_expr(stmt.stop)
-                if stmt.step is not None:
-                    walk_expr(stmt.step)
-                written.add(stmt.var)
-                walk_body(stmt.body)
-            elif isinstance(stmt, ast.Return):
-                if stmt.value is not None:
-                    walk_expr(stmt.value)
-            elif isinstance(stmt, ast.AssumeStmt):
-                note_read(stmt.name)
-            elif isinstance(stmt, ast.ArrayDecl):
-                note_array(stmt.array)
-                for extent in stmt.extents:
-                    if isinstance(extent, str):
-                        note_read(extent)
-
-    walk_body(program.body)
+    scan = _NameScan()
+    scan.walk_body(program.body)
+    params, arrays = scan.params, scan.arrays
     clash = set(params) & set(arrays)
     if clash:
         raise FrontendError(0, 0, f"names used as both scalar and array: {sorted(clash)}")
     return params, arrays
+
+
+class _NameScan:
+    """The source-order walk behind :func:`analyze_names`."""
+
+    def __init__(self):
+        self.params: List[str] = []
+        self.arrays: List[str] = []
+        self.written: Set[str] = set()
+
+    def note_read(self, name: str) -> None:
+        if name not in self.written and name not in self.params:
+            self.params.append(name)
+
+    def note_array(self, name: str) -> None:
+        if name not in self.arrays:
+            self.arrays.append(name)
+
+    def walk_expr(self, expr: ast.Expression) -> None:
+        if isinstance(expr, ast.Name):
+            self.note_read(expr.name)
+        elif isinstance(expr, ast.ArrayRef):
+            self.note_array(expr.array)
+            for index in expr.indices:
+                self.walk_expr(index)
+        elif isinstance(expr, ast.BinaryExpr):
+            self.walk_expr(expr.lhs)
+            self.walk_expr(expr.rhs)
+        elif isinstance(expr, ast.UnaryExpr):
+            self.walk_expr(expr.operand)
+
+    def walk_cond(self, cond: ast.Condition) -> None:
+        if isinstance(cond, ast.CompareExpr):
+            self.walk_expr(cond.lhs)
+            self.walk_expr(cond.rhs)
+        elif isinstance(cond, ast.BoolExpr):
+            self.walk_cond(cond.lhs)
+            self.walk_cond(cond.rhs)
+        elif isinstance(cond, ast.NotExpr):
+            self.walk_cond(cond.operand)
+
+    def walk_body(self, body: List[ast.Statement]) -> None:
+        for stmt in body:
+            if isinstance(stmt, ast.Assign):
+                self.walk_expr(stmt.value)
+                self.written.add(stmt.target)
+            elif isinstance(stmt, ast.StoreStmt):
+                self.note_array(stmt.array)
+                for index in stmt.indices:
+                    self.walk_expr(index)
+                self.walk_expr(stmt.value)
+            elif isinstance(stmt, ast.If):
+                self.walk_cond(stmt.condition)
+                self.walk_body(stmt.then_body)
+                self.walk_body(stmt.else_body)
+            elif isinstance(stmt, ast.Loop):
+                self.walk_body(stmt.body)
+            elif isinstance(stmt, ast.WhileLoop):
+                self.walk_cond(stmt.condition)
+                self.walk_body(stmt.body)
+            elif isinstance(stmt, ast.ForLoop):
+                self.walk_expr(stmt.start)
+                self.walk_expr(stmt.stop)
+                if stmt.step is not None:
+                    self.walk_expr(stmt.step)
+                self.written.add(stmt.var)
+                self.walk_body(stmt.body)
+            elif isinstance(stmt, ast.Return):
+                if stmt.value is not None:
+                    self.walk_expr(stmt.value)
+            elif isinstance(stmt, ast.AssumeStmt):
+                self.note_read(stmt.name)
+            elif isinstance(stmt, ast.ArrayDecl):
+                self.note_array(stmt.array)
+                for extent in stmt.extents:
+                    if isinstance(extent, str):
+                        self.note_read(extent)
 
 
 class _Lowerer:

@@ -76,12 +76,18 @@ def run_gvn(function: Function, domtree: Optional[DominatorTree] = None) -> int:
 
     numbering: Dict[str, str] = {}  # SSA name -> representative name
     eliminated = 0
-    # scoped table: list of (key, representative) frames per dom-tree node
+    # scoped table over a dominator-tree preorder walk; each block's keys
+    # are popped once its subtree is done (the explicit stack holds the
+    # block's added keys as that second visit)
     table: Dict[Tuple, str] = {}
-
-    def visit(label: str) -> None:
-        nonlocal eliminated
-        added: List[Tuple] = []
+    stack: List[Tuple[str, Optional[List[Tuple]]]] = [(domtree.entry, None)]
+    while stack:
+        label, added = stack.pop()
+        if added is not None:
+            for key in added:
+                del table[key]
+            continue
+        added = []
         block = function.block(label)
         for position, inst in enumerate(block.instructions):
             if inst.result is None or isinstance(inst, (Phi, Load)):
@@ -103,19 +109,9 @@ def run_gvn(function: Function, domtree: Optional[DominatorTree] = None) -> int:
             else:
                 table[key] = inst.result
                 added.append(key)
-        for child in domtree.children[label]:
-            visit(child)
-        for key in added:
-            del table[key]
-
-    import sys
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4 * len(function.blocks) + 1000))
-    try:
-        visit(domtree.entry)
-    finally:
-        sys.setrecursionlimit(limit)
+        stack.append((label, added))
+        for child in reversed(domtree.children[label]):
+            stack.append((child, None))
 
     if numbering:
         mapping = {name: Ref(rep) for name, rep in numbering.items()}

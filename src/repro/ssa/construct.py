@@ -16,7 +16,7 @@ SSA names are ``var.N`` (the paper's subscripts): ``i`` becomes ``i.1``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 from repro.analysis.domfrontier import dominance_frontiers, iterated_frontier
 from repro.analysis.dominators import DominatorTree, dominator_tree
@@ -151,22 +151,19 @@ def construct_ssa(function: Function) -> SSAInfo:
     # phis must know their variable even after renaming their own result,
     # because successors' phi arguments are filled from the predecessor.
     # phi_var is keyed by identity so renaming the result doesn't disturb it.
-    def walk(label: str) -> None:
+    # The walk is a dominator-tree preorder; a block's second visit, once
+    # its subtree is done, pops the names it pushed.
+    walk: List[Tuple[str, bool]] = [(domtree.entry, False)]
+    while walk:
+        label, done = walk.pop()
+        if done:
+            for var in reversed(pushed[label]):
+                stacks[var].pop()
+            continue
         rename_block(label)
-        for child in domtree.children[label]:
-            walk(child)
-        for var in reversed(pushed[label]):
-            stacks[var].pop()
-        pushed[label].clear()
-
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * len(function.blocks) + 1000))
-    try:
-        walk(domtree.entry)
-    finally:
-        sys.setrecursionlimit(old_limit)
+        walk.append((label, True))
+        for child in reversed(domtree.children[label]):
+            walk.append((child, False))
 
     # drop unreachable blocks: they were not renamed and would fail the
     # SSA verifier; they are dead anyway.
