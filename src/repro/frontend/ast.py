@@ -31,7 +31,7 @@ class ArrayRef(Expression):
 
 @dataclass(frozen=True)
 class BinaryExpr(Expression):
-    op: str  # '+', '-', '*', '/', '%', '**'
+    op: str  # '+', '-', '*', '/', '%', '**'; AST-only: '//', '%%' (floor)
     lhs: Expression
     rhs: Expression
 
@@ -50,10 +50,19 @@ class Condition:
 
 
 @dataclass(frozen=True)
-class CompareExpr(Condition):
+class CompareExpr(Condition, Expression):
+    """A branch condition, or (AST-only) the 0/1 value of the comparison."""
+
     relation: str  # '<', '<=', '>', '>=', '==', '!='
     lhs: Expression
     rhs: Expression
+
+
+@dataclass(frozen=True)
+class ConstCondition(Condition):
+    """AST-only: a condition known while lowering (``while True``)."""
+
+    value: bool
 
 
 @dataclass(frozen=True)
@@ -119,6 +128,11 @@ class ForLoop(Statement):
     downward: bool = False
     step: Optional[Expression] = None  # default 1 (or -1 when downward)
     label: Optional[str] = None
+
+
+@dataclass
+class RangeLoop(ForLoop):
+    """AST-only: ``stop`` is exclusive, like Python's ``range``."""
 
 
 @dataclass

@@ -15,8 +15,27 @@ Conventions that matter to the rest of the system:
   the exit runs one more time than code below it.
 * Temporaries are named ``$tN`` -- the ``$`` cannot appear in source
   identifiers, so there are no collisions.
+* Generated block labels (``entry``, ``then``, ``dead``, ``loop1``, ...)
+  are picked around every label the program spells, so any source label
+  is valid once; only two loops with the same label are an error.
 * Variables read before any (syntactically preceding) assignment become
   function parameters; names indexed with ``[...]`` become arrays.
+  :func:`lower_ast` takes the parameters as an argument instead, for
+  front ends that know their signature (:mod:`repro.pyfront` does).
+
+Constructs that exist only in the AST, built by :mod:`repro.pyfront`:
+
+* ``//`` and ``%%`` are floor division and floor modulo.  The IR's
+  ``DIV`` truncates toward zero; ``a // b`` expands branch-free to
+  ``q0 - (r0 != 0)*(sign(a) != sign(b))`` using the 0/1 results of
+  ``Compare``, and ``a %% b`` is ``a - (a // b)*b``, so both match
+  CPython exactly (and both trap on a zero divisor).
+* A :class:`~repro.frontend.ast.CompareExpr` used as a value is its 0/1
+  ``Compare`` result.
+* A :class:`~repro.frontend.ast.ConstCondition` is an unconditional
+  jump, so ``while True:`` keeps the paper's ``loop ... endloop`` shape.
+* A :class:`~repro.frontend.ast.RangeLoop` has an exclusive limit: its
+  header tests ``<`` (``>`` when downward).
 """
 
 from __future__ import annotations
@@ -65,22 +84,25 @@ _RELATIONS = {
 
 def analyze_names(program: ast.Program) -> Tuple[List[str], List[str]]:
     """Infer (params, arrays) from use order, as documented above."""
-    scan = _NameScan()
-    scan.walk_body(program.body)
-    params, arrays = scan.params, scan.arrays
-    clash = set(params) & set(arrays)
-    if clash:
-        raise FrontendError(0, 0, f"names used as both scalar and array: {sorted(clash)}")
-    return params, arrays
+    return _NameScan(program).names()
 
 
 class _NameScan:
     """The source-order walk behind :func:`analyze_names`."""
 
-    def __init__(self):
+    def __init__(self, program: ast.Program):
         self.params: List[str] = []
         self.arrays: List[str] = []
         self.written: Set[str] = set()
+        #: every loop label the program spells
+        self.labels: Set[str] = set()
+        self.walk_body(program.body)
+
+    def names(self) -> Tuple[List[str], List[str]]:
+        clash = set(self.params) & set(self.arrays)
+        if clash:
+            raise FrontendError(0, 0, f"names used as both scalar and array: {sorted(clash)}")
+        return self.params, self.arrays
 
     def note_read(self, name: str) -> None:
         if name not in self.written and name not in self.params:
@@ -102,6 +124,8 @@ class _NameScan:
             self.walk_expr(expr.rhs)
         elif isinstance(expr, ast.UnaryExpr):
             self.walk_expr(expr.operand)
+        elif isinstance(expr, ast.CompareExpr):
+            self.walk_cond(expr)
 
     def walk_cond(self, cond: ast.Condition) -> None:
         if isinstance(cond, ast.CompareExpr):
@@ -115,6 +139,8 @@ class _NameScan:
 
     def walk_body(self, body: List[ast.Statement]) -> None:
         for stmt in body:
+            if isinstance(stmt, (ast.Loop, ast.WhileLoop, ast.ForLoop)) and stmt.label:
+                self.labels.add(stmt.label)
             if isinstance(stmt, ast.Assign):
                 self.walk_expr(stmt.value)
                 self.written.add(stmt.target)
@@ -152,12 +178,16 @@ class _NameScan:
 
 
 class _Lowerer:
-    def __init__(self, name: str, program: ast.Program):
-        params, arrays = analyze_names(program)
+    def __init__(self, name: str, program: ast.Program, params: Optional[List[str]]):
+        scan = _NameScan(program)
+        inferred, arrays = scan.names()
+        params = inferred if params is None else params
+        #: generated labels avoid these, so every source label is free
+        self.labels = scan.labels
         self.function = Function(name, params=params, arrays=arrays)
         self.arrays = set(arrays)
         self.scalars: Set[str] = set(params)
-        self.current: BasicBlock = self.function.add_block("entry")
+        self.current: BasicBlock = self.function.add_block(self.fresh_label("entry"))
         self.temp_counter = 0
         self.loop_counter = 0
         self.exit_stack: List[str] = []  # break targets
@@ -168,8 +198,16 @@ class _Lowerer:
         self.temp_counter += 1
         return f"$t{self.temp_counter}"
 
+    def fresh_label(self, hint: str) -> str:
+        """``hint``, or ``hint.N``: unused, and not a label of the source."""
+        label, counter = hint, 0
+        while label in self.function.blocks or label in self.labels:
+            counter += 1
+            label = f"{hint}.{counter}"
+        return label
+
     def new_block(self, hint: str) -> BasicBlock:
-        return self.function.add_block(self.function.fresh_label(hint))
+        return self.function.add_block(self.fresh_label(hint))
 
     def set_current(self, block: BasicBlock) -> None:
         self.current = block
@@ -180,7 +218,7 @@ class _Lowerer:
                 raise FrontendError(0, 0, f"duplicate loop label {user_label!r}")
             return user_label
         self.loop_counter += 1
-        return self.function.fresh_label(f"loop{self.loop_counter}")
+        return self.fresh_label(f"loop{self.loop_counter}")
 
     # ------------------------------------------------------------------
     # expressions
@@ -210,8 +248,18 @@ class _Lowerer:
         if isinstance(expr, ast.BinaryExpr):
             lhs = self.lower_expr(expr.lhs)
             rhs = self.lower_expr(expr.rhs)
+            if expr.op == "//":
+                return self.floor_div(lhs, rhs, target)
+            if expr.op == "%%":
+                return self.floor_mod(lhs, rhs, target)
             result = target if target is not None else self.temp()
             self.current.append(BinOp(result, _BINOPS[expr.op], lhs, rhs))
+            return Ref(result)
+        if isinstance(expr, ast.CompareExpr):
+            lhs = self.lower_expr(expr.lhs)
+            rhs = self.lower_expr(expr.rhs)
+            result = target if target is not None else self.temp()
+            self.current.append(Compare(result, _RELATIONS[expr.relation], lhs, rhs))
             return Ref(result)
         if isinstance(expr, ast.UnaryExpr):
             operand = self.lower_expr(expr.operand)
@@ -226,6 +274,36 @@ class _Lowerer:
             return Ref(result)
         raise FrontendError(0, 0, f"cannot lower expression {expr!r}")
 
+    def floor_div(self, lhs: Value, rhs: Value, target: Optional[str] = None) -> Value:
+        """Branch-free CPython floor division from truncating ``DIV``.
+
+        ``q0 = trunc(a/b)``; the quotient needs one correction step when
+        the division was inexact *and* the signs differ:
+        ``a // b == q0 - (a - q0*b != 0) * ((a < 0) != (b < 0))``.
+        """
+        q0, back, rem, inexact, lhs_neg, rhs_neg, differ, fix = [self.temp() for _ in range(8)]
+        emit = self.current.append
+        emit(BinOp(q0, BinaryOp.DIV, lhs, rhs))
+        emit(BinOp(back, BinaryOp.MUL, Ref(q0), rhs))
+        emit(BinOp(rem, BinaryOp.SUB, lhs, Ref(back)))
+        emit(Compare(inexact, Relation.NE, Ref(rem), Const(0)))
+        emit(Compare(lhs_neg, Relation.LT, lhs, Const(0)))
+        emit(Compare(rhs_neg, Relation.LT, rhs, Const(0)))
+        emit(Compare(differ, Relation.NE, Ref(lhs_neg), Ref(rhs_neg)))
+        emit(BinOp(fix, BinaryOp.MUL, Ref(inexact), Ref(differ)))
+        result = target if target is not None else self.temp()
+        emit(BinOp(result, BinaryOp.SUB, Ref(q0), Ref(fix)))
+        return Ref(result)
+
+    def floor_mod(self, lhs: Value, rhs: Value, target: Optional[str] = None) -> Value:
+        """CPython ``%`` (sign follows the divisor): ``a - (a // b) * b``."""
+        quotient = self.floor_div(lhs, rhs)
+        back = self.temp()
+        self.current.append(BinOp(back, BinaryOp.MUL, quotient, rhs))
+        result = target if target is not None else self.temp()
+        self.current.append(BinOp(result, BinaryOp.SUB, lhs, Ref(back)))
+        return Ref(result)
+
     # ------------------------------------------------------------------
     # conditions (short-circuit)
     # ------------------------------------------------------------------
@@ -239,6 +317,9 @@ class _Lowerer:
             return
         if isinstance(cond, ast.NotExpr):
             self.lower_condition(cond.operand, false_label, true_label)
+            return
+        if isinstance(cond, ast.ConstCondition):
+            self.current.terminator = Jump(true_label if cond.value else false_label)
             return
         if isinstance(cond, ast.BoolExpr):
             if cond.op == "and":
@@ -385,7 +466,10 @@ class _Lowerer:
 
         self.current.terminator = Jump(header_label)
         self.set_current(header)
-        relation = Relation.GE if stmt.downward else Relation.LE
+        if isinstance(stmt, ast.RangeLoop):
+            relation = Relation.GT if stmt.downward else Relation.LT
+        else:
+            relation = Relation.GE if stmt.downward else Relation.LE
         cond = self.temp()
         self.current.append(Compare(cond, relation, Ref(stmt.var), limit))
         self.current.terminator = Branch(Ref(cond), body_block.label, exit_block.label)
@@ -407,9 +491,19 @@ class _Lowerer:
 
 @traced("frontend.lower")
 def lower_program(program: ast.Program, name: str = "main") -> Function:
-    """Lower an AST to named IR (with a final implicit ``return``)."""
+    """Lower a parsed loop-language program to named IR."""
     fault_point("frontend.lower")
-    lowerer = _Lowerer(name, program)
+    return lower_ast(program, name)
+
+
+def lower_ast(
+    program: ast.Program, name: str = "main", params: Optional[List[str]] = None
+) -> Function:
+    """Lower an AST to named IR (with a final implicit ``return``).
+
+    ``params`` is the signature; ``None`` infers it from use order.
+    """
+    lowerer = _Lowerer(name, program, params)
     lowerer.lower_body(program.body)
     if lowerer.current.terminator is None:
         lowerer.current.terminator = Return()

@@ -1,11 +1,13 @@
 """The real-Python frontend: CPython ``ast`` to repro IR.
 
 The paper's recognizer only matters if it can face real programs; this
-package is the bridge.  :func:`repro.pyfront.lower.compile_module` turns
-an ordinary Python file into named IR functions (the supported subset is
-catalogued in ``SUPPORTED`` and ``docs/PYTHON.md``), degrading per
-function and per construct through the ``PYF4xx`` diagnostic family
-instead of ever raising.  :func:`repro.pyfront.driver.pylint_paths` is
+package is the bridge.  :func:`repro.pyfront.lower.compile_module`
+validates each function of an ordinary Python file against the
+supported subset (catalogued in ``SUPPORTED`` and ``docs/PYTHON.md``),
+degrading per function and per construct through the ``PYF4xx``
+diagnostic family instead of ever raising, then desugars what passes
+into the loop-language AST, from which :mod:`repro.frontend.lower`
+builds the IR.  :func:`repro.pyfront.driver.pylint_paths` is
 the corpus driver behind ``repro pylint``: it walks packages and runs
 every lowered function through classification, value ranges, invariants,
 and dependence testing.

@@ -48,6 +48,25 @@ class TestLowering:
         f = lower("L9: loop\n  break\nendloop")
         assert "L9" in f.blocks
 
+    def test_label_spelled_like_a_generated_loop_label(self):
+        f = lower("loop\n  break\nendloop\nloop1: loop\n  break\nendloop")
+        assert "loop1" in f.blocks and "loop1.1" in f.blocks
+        assert f.blocks["loop1"].terminator.target == "loop1.exit"
+
+    def test_label_spelled_like_a_dead_block(self):
+        f = lower("x = 1\nreturn x\ndead: loop\n  break\nendloop")
+        assert "dead" in f.blocks
+        assert f.blocks["dead"].terminator.target == "dead.exit"
+
+    def test_label_spelled_like_the_entry_block(self):
+        f = lower("i = 0\nentry: loop\n  i = i + 1\n  if i > 2 then\n    break\n  endif\nendloop\nreturn i")
+        assert f.entry_label == "entry.1"
+        assert Interpreter(f).run({}).return_value == 3
+
+    def test_two_loops_with_one_label_are_rejected(self):
+        with pytest.raises(FrontendError, match="duplicate loop label"):
+            lower("L1: loop\n  break\nendloop\nL1: loop\n  break\nendloop")
+
     def test_while_executes(self):
         f = lower("i = 0\nwhile i < n do\n  i = i + 2\nendwhile\nreturn i")
         assert Interpreter(f).run({"n": 5}).return_value == 6

@@ -373,7 +373,7 @@ class TestAsserts:
                 return xs[0]
             """
         )
-        assert cf.function.array_extents["xs"] == [4]
+        assert cf.function.array_extents["xs"] == (4,)
 
     def test_unrecognized_assert_drops_with_note(self):
         module = compile_module(
