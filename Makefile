@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint pylint goldens perfbench-test perfbench-smoke ranges invariants chaos stats bench bench-check bench-baseline bench-diff report serve loadtest
+.PHONY: test lint pylint goldens pyfront-digests perfbench-test perfbench-smoke ranges invariants chaos stats bench bench-check bench-baseline bench-diff report serve loadtest
 
 test:
 	$(PYTHON) -m pytest -m "not bench" -q
@@ -24,6 +24,11 @@ goldens:
 	$(PYTHON) -m tests.diagnostics.test_verifier_golden
 	$(PYTHON) -m tests.pyfront.test_compile_golden
 	$(PYTHON) -m tests.pyfront.test_pylint_golden
+
+# sha256 of compile_module output (facts included) per .py file of the
+# repository: not a golden, it pins nothing; diff two checkouts' outputs
+pyfront-digests:
+	$(PYTHON) -m tests.pyfront.test_compile_golden --repository
 
 perfbench-test:
 	$(PYTHON) -m pytest perfbench/test_bench.py -q

@@ -125,7 +125,7 @@ def harvest_python(path: str) -> List[LintTarget]:
     targets: List[LintTarget] = []
     try:
         tree = ast.parse(text)
-    except SyntaxError:
+    except (SyntaxError, RecursionError):  # too deep to parse is unparseable
         return targets
     for node in ast.walk(tree):
         if not isinstance(node, ast.Constant) or not isinstance(node.value, str):

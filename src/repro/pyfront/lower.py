@@ -1,8 +1,8 @@
 """Compile a subset of real CPython functions (stdlib ``ast``) to named IR.
 
-Two steps, each one walk: :class:`_Validator` records every construct
-outside the subset; a function with none is desugared by
-:class:`_Desugarer` into a loop-language program
+Each def is walked once, inferring kinds as it goes; :class:`_Validator`
+records every construct outside the subset, and a function with none is
+desugared by :class:`_Desugarer` into a loop-language program
 (:mod:`repro.frontend.ast`), and :func:`repro.frontend.lower.lower_ast`
 builds its IR, so each construct is lowered in one place for both front
 ends.  The subset is exactly what the IR executes with CPython's
@@ -54,7 +54,7 @@ from repro.frontend import ast as fe
 from repro.frontend.lower import lower_ast
 from repro.ir.function import Function
 from repro.obs.trace import traced
-from repro.pyfront.typeinfer import INT, LIST, Kinds, all_args, infer_kinds
+from repro.pyfront.typeinfer import INT, LIST, Kinds, all_args, walk, walk_def
 from repro.resilience.isolation import DegradationRecord
 
 __all__ = [
@@ -86,6 +86,9 @@ _RELATIONS = {
     ast.Eq: "==",
     ast.NotEq: "!=",
 }
+
+#: the fields holding statements (or except clauses and match cases)
+_BLOCKS = frozenset(("body", "handlers", "orelse", "finalbody", "cases"))
 
 #: comparison relations the range analysis consumes as assumptions
 _ASSUMABLE = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "=="}
@@ -226,7 +229,7 @@ class _Validator:
         scope: str,
     ):
         self.node = node
-        #: ``list(ast.walk(node))``, shared with kind inference
+        #: the def's nodes in ``ast.walk`` order, shared with kind inference
         self.nodes = nodes
         self.kinds = kinds
         self.scope = scope
@@ -566,8 +569,8 @@ def _name_ids(roots: Sequence[ast.AST], name: str) -> Set[int]:
     return {
         id(child)
         for root in roots
-        for child in ast.walk(root)
-        if isinstance(child, ast.Name) and child.id == name
+        for child in walk(root)
+        if type(child) is ast.Name and child.id == name
     }
 
 
@@ -806,13 +809,12 @@ def compile_function(
 ) -> CompiledFunction:
     """Compile one ``ast.FunctionDef``; degrades instead of raising.
 
-    One ``ast.walk`` of the def feeds both kind inference and validation
-    (the loop-variable check walks only each loop's own subtree), and
-    ``source`` is unparsed only if read.
+    One walk of the def (:func:`~repro.pyfront.typeinfer.walk_def`) infers
+    kinds and feeds validation (the loop-variable check walks only each
+    loop's own subtree), and ``source`` is unparsed only if read.
     """
     scope = qualname
-    nodes = list(ast.walk(node))
-    kinds = infer_kinds(node, nodes)
+    nodes, kinds = walk_def(node)
     compiled = CompiledFunction(
         qualname=qualname,
         origin=f"{origin}:{node.lineno}",
@@ -851,12 +853,13 @@ def compile_function(
 def compile_module(source: str, origin: str = "<python>") -> ModuleCompilation:
     """Compile every function of one Python source text.
 
-    Never raises: an unparseable file yields a ``PYF406`` record, and
+    Never raises: an unparseable file (a syntax error, a null byte, or
+    nesting too deep for ``ast.parse``) yields a ``PYF406`` record, and
     each function degrades independently.
     """
     try:
         tree = ast.parse(source)
-    except (SyntaxError, ValueError) as error:
+    except (SyntaxError, ValueError, RecursionError) as error:
         return ModuleCompilation(
             origin=origin,
             error=DegradationRecord(
@@ -891,19 +894,22 @@ def compile_module(source: str, origin: str = "<python>") -> ModuleCompilation:
 
 
 def _function_defs(tree: ast.Module) -> List[Tuple[str, ast.AST]]:
-    """Every (qualname, def) in the module, in source order."""
+    """Every (qualname, def) in the module, in source order.
+
+    A def is a statement, so only statement lists are searched, with a
+    stack (an ``elif`` chain nests as deep as it is long): expressions,
+    however deep, are never entered.
+    """
     found: List[Tuple[str, ast.AST]] = []
-
-    def walk(node: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.append((prefix + child.name, child))
-                walk(child, prefix + child.name + ".")
-            elif isinstance(child, ast.ClassDef):
-                walk(child, prefix + child.name + ".")
-            else:
-                walk(child, prefix)
-
-    walk(tree, "")
+    stack: List[Tuple[ast.AST, str]] = [(tree, "")]
+    while stack:
+        node, prefix = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append((prefix + node.name, node))
+            prefix += node.name + "."
+        elif isinstance(node, ast.ClassDef):
+            prefix += node.name + "."
+        children = [c for f in node._fields if f in _BLOCKS for c in getattr(node, f)]
+        stack.extend((child, prefix) for child in reversed(children))
     found.sort(key=lambda item: item[1].lineno)
     return found

@@ -9,25 +9,27 @@ A name used both ways (or a list that is *assigned*, i.e. created
 locally) is a kind conflict -- the function degrades with ``PYF404``
 instead of guessing.
 
-The inference is deliberately syntactic: one linear pass over the
-``ast``, no dataflow.  That matches the frontend's contract -- it must
-never be *wrong silently*; when in doubt it reports a conflict and the
-function degrades.
+The inference is deliberately syntactic: read during the one walk of
+the def (:func:`walk_def`), no dataflow.  That matches the frontend's
+contract -- it must never be *wrong silently*; when in doubt it reports
+a conflict and the function degrades.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 INT = "int"
 LIST = "list"
 
-__all__ = ["INT", "LIST", "Kinds", "all_args", "infer_kinds"]
+__all__ = ["INT", "LIST", "Kinds", "all_args", "walk", "walk_def"]
 
 #: nodes that own an annotation (``annotation`` or ``returns``)
 _ANNOTATED = (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef)
+#: the node types kind evidence is read from
+_EVIDENCE = frozenset((ast.Name, ast.Subscript, ast.Call, ast.For) + _ANNOTATED)
 
 
 @dataclass
@@ -48,12 +50,31 @@ class Kinds:
         return self.kinds.get(name) == LIST
 
 
-def infer_kinds(node: ast.FunctionDef, nodes: Sequence[ast.AST]) -> Kinds:
-    """Infer the kind of every name in one function body.
+def walk(root: ast.AST, visit: Optional[Callable] = None) -> List[ast.AST]:
+    """``list(ast.walk(root))``, with the list as the queue: no deque and
+    no generator per node.  ``visit`` sees each node as it is popped."""
+    nodes = [root]
+    for node in nodes:
+        if visit is not None:
+            visit(node)
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if isinstance(value, ast.AST):
+                nodes.append(value)
+            elif isinstance(value, list):
+                for item in value:
+                    if isinstance(item, ast.AST):
+                        nodes.append(item)
+    return nodes
 
-    ``nodes`` is ``list(ast.walk(node))``, which the caller shares with
-    validation.  Annotations are not uses: ``xs: List[int]`` says nothing
-    the body does not, so their subtrees are skipped.
+
+def walk_def(node: ast.FunctionDef) -> Tuple[List[ast.AST], Kinds]:
+    """The def's :func:`walk` (shared with validation) and the kind of
+    every name, read from each node as the walk pops it.
+
+    Annotations are not uses: ``xs: List[int]`` says nothing the body does
+    not, so their subtrees are skipped.  The walk is breadth-first, so the
+    first reason recorded per name is the shallowest one.
     """
     int_uses: Dict[str, str] = {}
     list_uses: Dict[str, str] = {}
@@ -68,9 +89,9 @@ def infer_kinds(node: ast.FunctionDef, nodes: Sequence[ast.AST]) -> Kinds:
         list_uses.setdefault(name_node.id, why)
         claimed.add(id(name_node))
 
-    for child in nodes:
-        if id(child) in skipped:
-            continue
+    def visit(child: ast.AST) -> None:
+        if type(child) not in _EVIDENCE or id(child) in skipped:
+            return
         if isinstance(child, ast.Name):
             if isinstance(child.ctx, ast.Store):
                 assigned.add(child.id)
@@ -96,8 +117,9 @@ def infer_kinds(node: ast.FunctionDef, nodes: Sequence[ast.AST]) -> Kinds:
                 child, "returns", None
             )
             if annotation is not None:
-                skipped.update(map(id, ast.walk(annotation)))
+                skipped.update(map(id, walk(annotation)))
 
+    nodes = walk(node, visit)
     kinds: Dict[str, str] = {}
     conflicts: List[Tuple[str, str, str]] = []
     for name in sorted(set(int_uses) | set(list_uses)):
@@ -109,7 +131,7 @@ def infer_kinds(node: ast.FunctionDef, nodes: Sequence[ast.AST]) -> Kinds:
             kinds[name] = INT
     for arg in all_args(node):
         kinds.setdefault(arg.arg, INT)
-    return Kinds(kinds=kinds, conflicts=conflicts, assigned=assigned)
+    return nodes, Kinds(kinds=kinds, conflicts=conflicts, assigned=assigned)
 
 
 def all_args(node: ast.FunctionDef) -> List[ast.arg]:

@@ -1,5 +1,9 @@
 """Pinned ``compile_module`` output and the single-walk compile contract.
 
+``python -m tests.pyfront.test_compile_golden`` prints the golden
+digests; with ``--repository`` it prints one digest per ``.py`` file of
+the repository instead (``make pyfront-digests``).
+
 The golden hashes cover everything a compiled function carries: params,
 re-rendered source, every degradation record in order, and the printed
 IR, so a change to how ``compile_function`` walks a def cannot move its
@@ -10,6 +14,7 @@ import ast
 import hashlib
 import json
 import re
+import sys
 import textwrap
 from pathlib import Path
 
@@ -18,6 +23,7 @@ import pytest
 from repro.ir.printer import print_function
 from repro.obs.runlog import source_fingerprint
 from repro.pyfront.driver import _skip_record
+from repro.pyfront import lower, typeinfer
 from repro.pyfront.lower import compile_function, compile_module
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -227,15 +233,48 @@ def test_skip_record_fingerprint_is_unchanged():
 def test_compile_walks_the_def_once(monkeypatch):
     node = _def_node(LOOP_REUSE)
     roots = []
-    real_walk = ast.walk
+    real_walk = typeinfer.walk
 
-    def counting_walk(root):
+    def counting_walk(root, *args):
         roots.append(root)
-        return real_walk(root)
+        return real_walk(root, *args)
 
-    monkeypatch.setattr(ast, "walk", counting_walk)
+    def no_generic_walk(root):
+        raise AssertionError("compile used ast.walk")
+
+    monkeypatch.setattr(typeinfer, "walk", counting_walk)
+    monkeypatch.setattr(lower, "walk", counting_walk)
+    monkeypatch.setattr(ast, "walk", no_generic_walk)
     compile_function(node, "reuse", "reuse.py")
     assert sum(1 for root in roots if root is node) == 1
+    assert len(roots) > 1  # the loop-variable check walks loop subtrees
+
+
+def test_kind_conflict_names_the_shallowest_reason_first():
+    # xs is stored four levels deep in the first and third statements and
+    # read three levels deep in the second: the breadth-first walk meets
+    # the read first, so the int reason is "used as an integer"; a
+    # depth-first walk in either direction would say "assigned"
+    (cf,) = compile_module(
+        textwrap.dedent(
+            """
+            def f(xs, n):
+                if n > 0:
+                    if n > 1:
+                        xs = n
+                total = xs + 1
+                if n > 2:
+                    if n > 3:
+                        xs = n
+                return len(xs) + total
+            """
+        ),
+        origin="first_reason.py",
+    ).functions
+    assert [d.message for d in cf.degradations if d.diag_code == "PYF404"] == [
+        "'xs' is used as an integer and passed to len(); names must be "
+        "either int scalars or list-of-int parameters"
+    ]
 
 
 def test_annotations_are_not_kind_evidence():
@@ -259,7 +298,24 @@ def test_annotations_are_not_kind_evidence():
     assert cf.params == [("xs", "list"), ("n", "int")]
 
 
-if __name__ == "__main__":
+def repository_digests():
+    """(path, digest) of ``render(..., facts=True)`` for every ``.py`` file
+    of the repository, paths relative to its root: not a golden, it pins
+    nothing; two checkouts' outputs are diffed."""
+    root = DATA.parents[1]
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        if any(part.startswith(".") or part == "__pycache__" for part in name.split("/")):
+            continue
+        text = path.read_text(encoding="utf-8")
+        rendered = render(compile_module(text, origin=name), facts=True)
+        yield name, hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--repository"]:
+    for name, digest in repository_digests():
+        print(f"{digest}  {name}")
+elif __name__ == "__main__":
     print("GOLDEN = {")
     for name in sorted(GOLDEN):
         text = (CORPUS / name).read_text(encoding="utf-8")
