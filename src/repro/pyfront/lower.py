@@ -1,6 +1,6 @@
 """Compile a subset of real CPython functions (stdlib ``ast``) to named IR.
 
-Each def is walked once, inferring kinds as it goes; :class:`_Validator`
+Each def is walked once and kinds are read from that walk; :class:`_Validator`
 records every construct outside the subset, and a function with none is
 desugared by :class:`_Desugarer` into a loop-language program
 (:mod:`repro.frontend.ast`), and :func:`repro.frontend.lower.lower_ast`

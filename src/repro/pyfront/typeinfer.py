@@ -9,8 +9,8 @@ A name used both ways (or a list that is *assigned*, i.e. created
 locally) is a kind conflict -- the function degrades with ``PYF404``
 instead of guessing.
 
-The inference is deliberately syntactic: read during the one walk of
-the def (:func:`walk_def`), no dataflow.  That matches the frontend's
+The inference is deliberately syntactic: read from the one walk of the
+def (:func:`walk_def`), no dataflow.  That matches the frontend's
 contract -- it must never be *wrong silently*; when in doubt it reports
 a conflict and the function degrades.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 INT = "int"
 LIST = "list"
@@ -50,13 +50,11 @@ class Kinds:
         return self.kinds.get(name) == LIST
 
 
-def walk(root: ast.AST, visit: Optional[Callable] = None) -> List[ast.AST]:
+def walk(root: ast.AST) -> List[ast.AST]:
     """``list(ast.walk(root))``, with the list as the queue: no deque and
-    no generator per node.  ``visit`` sees each node as it is popped."""
+    no generator per node."""
     nodes = [root]
     for node in nodes:
-        if visit is not None:
-            visit(node)
         for name in node._fields:
             value = getattr(node, name, None)
             if isinstance(value, ast.AST):
@@ -70,7 +68,7 @@ def walk(root: ast.AST, visit: Optional[Callable] = None) -> List[ast.AST]:
 
 def walk_def(node: ast.FunctionDef) -> Tuple[List[ast.AST], Kinds]:
     """The def's :func:`walk` (shared with validation) and the kind of
-    every name, read from each node as the walk pops it.
+    every name, read from its evidence nodes in walk order.
 
     Annotations are not uses: ``xs: List[int]`` says nothing the body does
     not, so their subtrees are skipped.  The walk is breadth-first, so the
@@ -89,9 +87,10 @@ def walk_def(node: ast.FunctionDef) -> Tuple[List[ast.AST], Kinds]:
         list_uses.setdefault(name_node.id, why)
         claimed.add(id(name_node))
 
-    def visit(child: ast.AST) -> None:
+    nodes = walk(node)
+    for child in nodes:
         if type(child) not in _EVIDENCE or id(child) in skipped:
-            return
+            continue
         if isinstance(child, ast.Name):
             if isinstance(child.ctx, ast.Store):
                 assigned.add(child.id)
@@ -119,7 +118,6 @@ def walk_def(node: ast.FunctionDef) -> Tuple[List[ast.AST], Kinds]:
             if annotation is not None:
                 skipped.update(map(id, walk(annotation)))
 
-    nodes = walk(node, visit)
     kinds: Dict[str, str] = {}
     conflicts: List[Tuple[str, str, str]] = []
     for name in sorted(set(int_uses) | set(list_uses)):
