@@ -29,7 +29,7 @@ pass criteria are the serving contract:
 
 ``--emit BENCH_0006.json`` records the run as a schema-v6 benchmark
 document: latency percentiles (p50/p99/max), error rate, degraded
-fraction, cache/pool/breaker snapshots, and the drain verdict.  Exits 1
+fraction, cache/pool snapshots, and the drain verdict.  Exits 1
 when any pass criterion fails, so CI can gate on it directly.
 
 Usage::
@@ -191,11 +191,10 @@ def run_client(
                 )
             for diagnostic in result.get("diagnostics") or []:
                 out.bump(out.diag_codes, diagnostic.get("code", "<none>"))
-            if code in ("worker-crash", "request-timeout", "circuit-open"):
+            if code in ("worker-crash", "request-timeout"):
                 wanted = {
                     "worker-crash": "RES506",
                     "request-timeout": "RES507",
-                    "circuit-open": "RES508",
                 }[code]
                 codes = [
                     d.get("code") for d in result.get("diagnostics") or []
@@ -309,7 +308,6 @@ def run_loadtest(args) -> Dict[str, Any]:
                 server_stats = {
                     "pool": stats.get("pool"),
                     "cache": stats.get("cache"),
-                    "breaker": stats.get("breaker"),
                     "requests": stats.get("requests"),
                 }
         except Exception as error:  # noqa: BLE001 - server died under load

@@ -96,9 +96,9 @@ Serve mode (``python -m repro serve``)::
 
 runs the fault-tolerant analysis service: a TCP daemon speaking
 length-prefixed JSON that shards analysis requests across a pool of
-worker processes with bounded retries, hung-worker kill/respawn,
-per-fingerprint circuit breaking, result caching, and graceful SIGTERM
-drain.  Worker crashes degrade the affected request (RES506) -- they
+worker processes with bounded retries, hung-worker kill/respawn, a
+result cache that also remembers failing programs for 30 s, and
+graceful SIGTERM drain.  Worker crashes degrade the affected request (RES506) -- they
 never kill the server.  See ``docs/SERVICE.md``.
 
 runs the full pipeline over every program found under the given paths
@@ -664,8 +664,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         prog="repro serve",
         description="Run the fault-tolerant analysis service: a TCP "
         "daemon sharding requests across a worker-process pool with "
-        "retry/timeout/backoff, circuit breaking, result caching, and "
-        "graceful degradation (see docs/SERVICE.md)",
+        "retry/timeout/backoff, a result cache that also remembers "
+        "failing programs, and graceful degradation (see docs/SERVICE.md)",
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(
@@ -704,24 +704,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=256,
         metavar="N",
-        help="result-cache capacity in entries; 0 disables "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=3,
-        metavar="N",
-        help="consecutive worker-level failures on one fingerprint "
-        "before its circuit opens (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--breaker-cooldown-s",
-        type=float,
-        default=30.0,
-        dest="breaker_cooldown_s",
-        metavar="SECONDS",
-        help="seconds an open circuit sheds before one half-open trial "
+        help="result-cache capacity in entries; the cache also "
+        "remembers a worker-level failure for 30 s, so 0 disables both "
         "(default: %(default)s)",
     )
     parser.add_argument(
@@ -856,8 +840,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                 request_timeout_s=args.timeout_s,
                 idle_timeout_s=args.idle_timeout_s,
                 cache_capacity=args.cache,
-                breaker_threshold=args.breaker_threshold,
-                breaker_cooldown_s=args.breaker_cooldown_s,
                 fault_spec=fault_spec,
                 runlog_dir=(
                     (args.runlog or DEFAULT_STORE)

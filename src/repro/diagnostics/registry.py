@@ -269,12 +269,6 @@ register(
     "hung worker was killed and respawned and the request degraded.",
 )
 register(
-    "RES508", "load-shed", Severity.WARNING, "resilience",
-    "The circuit breaker was open for this request's fingerprint after "
-    "repeated worker failures, so the request was shed with a structured "
-    "degraded response instead of being dispatched.",
-)
-register(
     "RES509", "response-truncated", Severity.WARNING, "resilience",
     "A service response serialized past the protocol's maximum message "
     "size; the serving layer dropped the report/record payloads so the "

@@ -217,8 +217,6 @@ METRIC_NAMES = frozenset(
         "service.cache.misses",
         "service.cache.evictions",
         "service.cache.errors",
-        "service.breaker.opened",
-        "service.breaker.shed",
         "service.runlog.errors",
         "service.idle_timeouts",
         "service.responses.truncated",

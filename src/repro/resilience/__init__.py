@@ -14,10 +14,7 @@ live up to that:
 * :mod:`repro.resilience.budget` -- :class:`AnalysisBudget` resource
   caps enforced at the symbolic and closed-form choke points;
 * :mod:`repro.resilience.faultinject` -- the deterministic seeded
-  fault-injection harness behind the chaos-test suite;
-* :mod:`repro.resilience.retry` -- bounded-retry policies with
-  exponential backoff and seeded jitter, routed through the taxonomy's
-  recovery policies (the serving layer's re-run machinery).
+  fault-injection harness behind the chaos-test suite.
 
 See ``docs/ROBUSTNESS.md`` for the error-code and fault-point
 catalogues (both doc-synced by tests).
@@ -34,7 +31,6 @@ from repro.resilience.budget import (
     phase_deadline,
     unroll_cap,
 )
-from repro.resilience.retry import SERVICE_RETRY, RetryPolicy, call_with_retry
 from repro.resilience.errors import (
     ERROR_CODES,
     BudgetExceeded,
@@ -72,7 +68,6 @@ __all__ = [
     "ERROR_CODES",
     "FAULT_POINTS",
     "SERVICE_BUDGET",
-    "SERVICE_RETRY",
     "AnalysisBudget",
     "BudgetExceeded",
     "DegradationLog",
@@ -83,14 +78,12 @@ __all__ = [
     "MissingPhiError",
     "RecoveryPolicy",
     "ReproError",
-    "RetryPolicy",
     "TransientFault",
     "absorb",
     "active_log",
     "all_error_codes",
     "all_fault_points",
     "budgeted",
-    "call_with_retry",
     "charge_expr_terms",
     "check_deadline",
     "check_request_deadline",

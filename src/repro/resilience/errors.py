@@ -143,10 +143,10 @@ _register(
     "re-run would hang the same way).",
 )
 _register(
-    "circuit-open", RecoveryPolicy.DEGRADE,
-    "The circuit breaker is open for this fingerprint after repeated "
-    "worker failures; the request is shed with a structured degraded "
-    "response instead of burning another worker.",
+    "python-syntax-error", RecoveryPolicy.ABORT,
+    "A service request with language 'python' carried source that "
+    "ast.parse rejects (a syntax error, a null byte, nesting too deep); "
+    "the program degrades with the parser's message (the input is wrong).",
 )
 _register(
     "malformed-request", RecoveryPolicy.ABORT,

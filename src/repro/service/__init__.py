@@ -12,9 +12,9 @@ its contracts:
   records;
 * :mod:`~repro.service.pool` -- fingerprint-sharded dispatch, hung
   workers killed and respawned, crashed workers detected by pipe EOF;
-* :mod:`~repro.service.breaker` -- per-fingerprint circuit breaker
-  shedding inputs that keep killing workers;
-* :mod:`~repro.service.cache` -- bounded LRU of clean results, failures
+* :mod:`~repro.service.cache` -- bounded LRU of clean results and,
+  for a fixed time-to-live, of worker-level failures, so an input that
+  keeps killing workers is not re-dispatched; cache failures are
   contained as misses;
 * :mod:`~repro.service.server` -- the accept loop tying it together
   under per-request metrics isolation and graceful SIGTERM drain;
@@ -27,7 +27,6 @@ The serving contract: only malformed or oversized requests yield
 RES5xx diagnostics, and the server never dies with a request in hand.
 """
 
-from repro.service.breaker import CircuitBreaker
 from repro.service.cache import ResultCache, cache_key
 from repro.service.client import ServiceClient
 from repro.service.pool import JobOutcome, WorkerPool
@@ -44,7 +43,6 @@ from repro.service.worker import CRASH_EXIT_CODE, budget_from_options, run_job
 __all__ = [
     "AnalysisServer",
     "CRASH_EXIT_CODE",
-    "CircuitBreaker",
     "JobOutcome",
     "MAX_MESSAGE_BYTES",
     "OversizedMessage",

@@ -1,12 +1,16 @@
 """Fingerprint-keyed result cache: bounded, LRU, crash-tolerant.
 
 A re-submitted program is byte-identical far more often than not (CI
-runs, editor save-loops), so the server caches **clean** analysis
-responses keyed on ``(source fingerprint, canonicalized options)`` --
-the same fingerprint :mod:`repro.obs.runlog` stamps on flight-recorder
-records.  Degraded or errored responses are never cached: a crash is
-not a result, and caching one would pin a transient failure onto a
-fingerprint for the cache's whole lifetime.
+runs, editor save-loops), so the server caches analysis responses keyed
+on ``(source fingerprint, canonicalized options)`` -- the same
+fingerprint :mod:`repro.obs.runlog` stamps on flight-recorder records.
+
+The cache is also the server's only memory of a failing program.  A
+clean result is kept until evicted; a worker-level failure (crash,
+hang, internal error) is kept with a time-to-live, so a program that
+keeps killing workers is answered from here for that long instead of
+burning another worker on every request, and is re-dispatched once the
+entry expires.
 
 The cache is an ordinary LRU over an :class:`~collections.OrderedDict`
 behind a lock (connection threads share it).  It sits behind the
@@ -19,8 +23,9 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.obs import metrics as _metrics
 from repro.resilience.faultinject import fault_point
@@ -41,13 +46,24 @@ def cache_key(fingerprint: str, options: Optional[Dict[str, Any]] = None) -> str
 
 
 class ResultCache:
-    """A thread-safe bounded LRU of clean analysis responses."""
+    """A thread-safe bounded LRU of analysis responses.
 
-    def __init__(self, capacity: int = 256):
+    ``clock`` is injectable (tests pass a fake) and defaults to
+    :func:`time.monotonic`; it only matters for entries stored with a
+    time-to-live.
+    """
+
+    def __init__(
+        self, capacity: int = 256, clock: Callable[[], float] = time.monotonic
+    ):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
-        self._entries: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._clock = clock
+        #: key -> (response, expiry time or None for no expiry)
+        self._entries: "OrderedDict[str, Tuple[Dict[str, Any], Optional[float]]]" = (
+            OrderedDict()
+        )
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -55,26 +71,39 @@ class ResultCache:
             return len(self._entries)
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The cached response for ``key``, refreshed to most-recent, or None."""
+        """The cached response for ``key``, refreshed to most-recent, or None.
+
+        An entry past its time-to-live is dropped and reads as a miss.
+        """
         fault_point("serve.cache")
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            value, expires = self._entries.get(key, (None, None))
+            if expires is not None and self._clock() >= expires:
+                del self._entries[key]
+                value = None
+            if value is None:
                 _metrics.inc("service.cache.misses")
                 return None
             self._entries.move_to_end(key)
             _metrics.inc("service.cache.hits")
-            return entry
+            return value
 
-    def put(self, key: str, value: Dict[str, Any]) -> None:
-        """Insert (or refresh) ``key``, evicting the least-recently used."""
+    def put(
+        self, key: str, value: Dict[str, Any], ttl_s: Optional[float] = None
+    ) -> None:
+        """Insert (or refresh) ``key``, evicting the least-recently used.
+
+        ``ttl_s`` bounds how long the entry is served; None keeps it
+        until it is evicted.
+        """
         fault_point("serve.cache")
         if self.capacity == 0:
             return
+        expires = None if ttl_s is None else self._clock() + ttl_s
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = value
+            self._entries[key] = (value, expires)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 _metrics.inc("service.cache.evictions")
@@ -89,26 +118,28 @@ class ResultCache:
             return {"entries": len(self._entries), "capacity": self.capacity}
 
 
-def safe_lookup(cache: ResultCache, key: str) -> Tuple[Optional[Dict[str, Any]], bool]:
+def safe_lookup(cache: ResultCache, key: str) -> Optional[Dict[str, Any]]:
     """``cache.get`` with containment: a cache failure reads as a miss.
 
-    Returns ``(value, cache_ok)``; ``cache_ok`` is False when the lookup
-    itself failed (injected ``serve.cache`` fault, internal error), which
-    the server counts but otherwise ignores -- graceful degradation of
-    the accelerator, not the request.
+    A failed lookup (injected ``serve.cache`` fault, internal error) is
+    counted in ``service.cache.errors`` and otherwise ignored -- graceful
+    degradation of the accelerator, not the request.
     """
     try:
-        return cache.get(key), True
+        return cache.get(key)
     except Exception:  # noqa: BLE001 - the cache must never fail a request
         _metrics.inc("service.cache.errors")
-        return None, False
+        return None
 
 
-def safe_store(cache: ResultCache, key: str, value: Dict[str, Any]) -> bool:
+def safe_store(
+    cache: ResultCache,
+    key: str,
+    value: Dict[str, Any],
+    ttl_s: Optional[float] = None,
+) -> None:
     """``cache.put`` with the same containment as :func:`safe_lookup`."""
     try:
-        cache.put(key, value)
-        return True
+        cache.put(key, value, ttl_s)
     except Exception:  # noqa: BLE001
         _metrics.inc("service.cache.errors")
-        return False

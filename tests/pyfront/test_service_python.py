@@ -8,7 +8,6 @@ request field.
 import pytest
 
 from repro.obs.aggregate import validate_record
-from repro.resilience.retry import RetryPolicy
 from repro.service import AnalysisServer, ServiceClient
 from repro.service.worker import run_job
 
@@ -86,10 +85,7 @@ class TestRunJobPython:
 
 @pytest.fixture(scope="class")
 def served():
-    server = AnalysisServer(
-        pool_size=1,
-        retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.01, max_delay_s=0.05),
-    )
+    server = AnalysisServer(pool_size=1)
     host, port = server.start()
     try:
         yield host, port

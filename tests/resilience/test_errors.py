@@ -36,6 +36,7 @@ class TestRegistry:
         }
         assert aborting == {
             "frontend-error",
+            "python-syntax-error",
             "sanitizer-violation",
             "malformed-request",
             "request-overflow",

@@ -1,4 +1,5 @@
-"""The bounded LRU result cache and its crash-tolerant wrappers."""
+"""The bounded LRU result cache, its time-to-live, and its crash-tolerant
+wrappers."""
 
 import pytest
 
@@ -81,6 +82,50 @@ class TestLRU:
         assert counters["service.cache.evictions"] == 1
 
 
+class FakeClock:
+    def __init__(self):
+        self.now = 100.0
+
+    def __call__(self):
+        return self.now
+
+
+class TestTimeToLive:
+    def test_entry_is_served_until_its_ttl_runs_out(self):
+        clock = FakeClock()
+        cache = ResultCache(capacity=4, clock=clock)
+        cache.put("k", {"v": 1}, ttl_s=30.0)
+        clock.now += 29.5
+        assert cache.get("k") == {"v": 1}
+        clock.now += 0.5
+        with collecting(MetricsRegistry()) as registry:
+            assert cache.get("k") is None
+        assert len(cache) == 0  # the expired entry is dropped
+        assert registry.snapshot()["counters"]["service.cache.misses"] == 1
+
+    def test_entry_without_ttl_never_expires(self):
+        clock = FakeClock()
+        cache = ResultCache(capacity=4, clock=clock)
+        cache.put("k", {"v": 1})
+        clock.now += 1e9
+        assert cache.get("k") == {"v": 1}
+
+    def test_put_replaces_the_ttl(self):
+        clock = FakeClock()
+        cache = ResultCache(capacity=4, clock=clock)
+        cache.put("k", {"v": 1}, ttl_s=1.0)
+        cache.put("k", {"v": 2})
+        clock.now += 5.0
+        assert cache.get("k") == {"v": 2}
+
+    def test_safe_store_passes_the_ttl(self):
+        clock = FakeClock()
+        cache = ResultCache(capacity=4, clock=clock)
+        safe_store(cache, "k", {"v": 1}, ttl_s=1.0)
+        clock.now += 1.0
+        assert safe_lookup(cache, "k") is None
+
+
 class TestContainment:
     """A broken cache degrades throughput, never a request."""
 
@@ -89,19 +134,18 @@ class TestContainment:
         cache.put("k", {"v": 1})
         with collecting(MetricsRegistry()) as registry:
             with injecting("serve.cache"):
-                value, cache_ok = safe_lookup(cache, "k")
-        assert value is None and not cache_ok
+                assert safe_lookup(cache, "k") is None
         assert registry.snapshot()["counters"]["service.cache.errors"] == 1
 
     def test_safe_store_contains_the_injected_fault(self):
         cache = ResultCache(capacity=4)
         with collecting(MetricsRegistry()) as registry:
             with injecting("serve.cache"):
-                assert not safe_store(cache, "k", {"v": 1})
+                safe_store(cache, "k", {"v": 1})
         assert len(cache) == 0
         assert registry.snapshot()["counters"]["service.cache.errors"] == 1
 
     def test_safe_wrappers_pass_through_when_healthy(self):
         cache = ResultCache(capacity=4)
-        assert safe_store(cache, "k", {"v": 1})
-        assert safe_lookup(cache, "k") == ({"v": 1}, True)
+        safe_store(cache, "k", {"v": 1})
+        assert safe_lookup(cache, "k") == {"v": 1}
