@@ -76,14 +76,15 @@ def test_compile_module_never_raises(make, terms):
         assert compiled.qualname == "f" and compiled.ok
         return
     # the validator recurses once per expression level, so a return too
-    # deep for the recursion limit degrades; the sizes stay clear of it
+    # deep for the recursion limit degrades as an unsupported expression;
+    # the sizes stay clear of the limit itself
     assert compiled.qualname == "g"
     limit = sys.getrecursionlimit()
     if terms >= limit:
         assert compiled.function is None
-        assert [(d.diag_code, d.code) for d in compiled.degradations] == [
-            ("PYF401", "internal-error")
-        ]
+        assert [
+            (d.diag_code, d.code, d.message) for d in compiled.degradations
+        ] == [("PYF402", "expression-too-deep", "expression nested too deeply")]
     else:
         assert terms <= limit // 2
         assert compiled.ok and not compiled.degradations
