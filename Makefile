@@ -19,6 +19,7 @@ goldens:
 	$(PYTHON) -m tests.frontend.test_parse_golden
 	$(PYTHON) -m tests.scalar.test_scalar_golden
 	$(PYTHON) -m tests.core.test_classify_golden
+	$(PYTHON) -m tests.core.test_served_golden
 	$(PYTHON) -m tests.invariants.test_paths_golden
 	$(PYTHON) -m tests.ranges.test_ranges_golden
 	$(PYTHON) -m tests.diagnostics.test_verifier_golden
