@@ -653,7 +653,9 @@ def _analyze_loop(
                 loop=loop.header,
                 members=list(members),
                 cycle=is_cycle,
-                classes={m: ctx.classifications[m].describe() for m in members},
+                # the objects, not their text: exporters render them with
+                # str() (= describe()), and an unexported trace never does
+                classes={m: ctx.classifications[m] for m in members},
             )
 
     stats = tarjan_scrs(nodes, adjacency.__getitem__, on_scr, prefiltered=True)

@@ -93,15 +93,10 @@ def _explain_loop(program, header: str) -> List[str]:
     renders the DOALL verdict and, when serial, the structured
     why-not-DOALL attribution (one reason per carried dependence).
     """
-    from repro.dependence.graph import build_dependence_graph
-    from repro.dependence.loopinfo import analyze_parallelism
-
     summary = program.result.loops[header]
     lines = [f"loop {header} (depth {summary.loop.depth})"]
     try:
-        verdicts = analyze_parallelism(
-            program.result, build_dependence_graph(program.result)
-        )
+        verdicts = program.dependences()[1]
     except Exception as error:  # degraded analyses may lack a graph
         lines.append(f"  parallelism undecided: dependence analysis failed ({error})")
         return lines

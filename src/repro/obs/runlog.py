@@ -224,11 +224,7 @@ def _parallelism(program):
     if not program.result.loops:
         return {}
     try:
-        from repro.dependence.graph import build_dependence_graph
-        from repro.dependence.loopinfo import analyze_parallelism
-
-        graph = build_dependence_graph(program.result)
-        return analyze_parallelism(program.result, graph)
+        return program.dependences()[1]
     except Exception:
         return None
 

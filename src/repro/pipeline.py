@@ -28,7 +28,7 @@ work for the same dynamic extent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.dominators import DominatorTree, dominator_tree
 from repro.analysis.loops import LoopNest, find_loops
@@ -68,6 +68,10 @@ class AnalyzedProgram:
     result: AnalysisResult
     #: every failure contained during analysis (empty on a clean run)
     degradations: List[DegradationRecord] = field(default_factory=list)
+    #: ``(graph, verdicts)`` once :meth:`dependences` has succeeded
+    _dependences: Optional[Tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     @property
@@ -106,6 +110,22 @@ class AnalyzedProgram:
 
     def classification(self, name: str):
         return self.result.classification_of(name)
+
+    def dependences(self) -> Tuple:
+        """The dependence graph and its per-loop DOALL verdicts, built once.
+
+        The run-log record and the report both need them for the same
+        program.  Only a success is kept: a failure raises, and each
+        caller degrades its own way (the record's ``parallel: null``, the
+        report's RES502 skip).
+        """
+        if self._dependences is None:
+            from repro.dependence.graph import build_dependence_graph
+            from repro.dependence.loopinfo import analyze_parallelism
+
+            graph = build_dependence_graph(self.result)
+            self._dependences = (graph, analyze_parallelism(self.result, graph))
+        return self._dependences
 
     def describe_all(self) -> Dict[str, str]:
         """Readable classification of every variable.

@@ -17,8 +17,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.core.tripcount import TripCountKind
-from repro.dependence.graph import build_dependence_graph
-from repro.dependence.loopinfo import analyze_parallelism
 from repro.pipeline import AnalyzedProgram
 from repro.resilience import isolation as _isolation
 
@@ -47,14 +45,14 @@ def format_report(
         return "\n".join(lines)
 
     graph = None
+    parallelism = {}
     if show_dependences:
         with _isolation.resilient(_report_log(program)):
-            graph = _isolation.run_optional(
-                "dependence.graph",
-                lambda: build_dependence_graph(result),
-                diag_code="RES502",
+            dependences = _isolation.run_optional(
+                "dependence.graph", program.dependences, diag_code="RES502"
             )
-    parallelism = analyze_parallelism(result, graph) if graph is not None else {}
+        if dependences is not None:
+            graph, parallelism = dependences
 
     for loop in sorted(result.loops.values(), key=lambda s: s.loop.depth):
         summary = loop
@@ -82,11 +80,7 @@ def format_report(
         for name in sorted(summary.classifications):
             if not show_temporaries and name.startswith("$"):
                 continue
-            cls = summary.classifications[name]
-            nested = result.nested_describe(name)
-            plain = cls.describe()
-            shown = nested if nested != plain else plain
-            lines.append(f"{indent}  {name:12} {shown}")
+            lines.append(f"{indent}  {name:12} {result.nested_describe(name)}")
             exit_value = result.exit_value(header, name)
             if exit_value is not None:
                 lines.append(f"{indent}  {'':12}   exits with {exit_value}")

@@ -30,8 +30,9 @@ algebra of types does).
 Because expressions are immutable, the hot constructors are **hash-consed**
 (zero, one, small integer constants, and single symbols are interned) and
 the hot queries are **memoized**: ``free_symbols()`` is computed once per
-instance, and ``substitute`` results are cached globally keyed on the
-(expression, relevant bindings) pair.  Interning and memoization are
+instance, the text of ``str()`` is kept on the instance once rendered, and
+``substitute`` results are cached globally keyed on the (expression,
+relevant bindings) pair.  Interning and memoization are
 semantically invisible -- they can be switched off with
 :func:`set_memoization` (the equivalence tests do exactly that).
 """
@@ -94,7 +95,7 @@ def _mono_degree(mono: Monomial) -> int:
 class Expr:
     """An immutable multivariate polynomial with exact int/Fraction coefficients."""
 
-    __slots__ = ("_terms", "_hash", "_free")
+    __slots__ = ("_terms", "_hash", "_free", "_str")
 
     def __init__(self, terms: Optional[Mapping[Monomial, Rat]] = None):
         clean: Dict[Monomial, Rat] = {}
@@ -106,6 +107,7 @@ class Expr:
         self._terms = clean
         self._hash: Optional[int] = None
         self._free: Optional[frozenset] = None
+        self._str: Optional[str] = None
 
     @classmethod
     def _raw(cls, terms: Dict[Monomial, Rat]) -> "Expr":
@@ -115,6 +117,7 @@ class Expr:
         expr._terms = terms
         expr._hash = None
         expr._free = None
+        expr._str = None
         return expr
 
     # ------------------------------------------------------------------
@@ -478,6 +481,16 @@ class Expr:
         return f"Expr({self})"
 
     def __str__(self) -> str:
+        # the same value is printed by the trace, the record and the
+        # report; render it once (fresh every time when memoization is off)
+        if not _MEMO_ENABLED:
+            return self._render()
+        text = self._str
+        if text is None:
+            text = self._str = self._render()
+        return text
+
+    def _render(self) -> str:
         if not self._terms:
             return "0"
         parts = []
