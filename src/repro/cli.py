@@ -751,13 +751,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="deterministic RNG seed for rate-based --inject",
     )
     parser.add_argument(
-        "--inject-transient",
-        action="store_true",
-        dest="inject_transient",
-        help="make injected faults transient (retryable) instead of "
-        "hard crashes",
-    )
-    parser.add_argument(
         "--metrics",
         metavar="FILE",
         default=None,
@@ -804,7 +797,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             "points": list(args.inject),
             "rate": args.inject_rate,
             "seed": args.inject_seed,
-            "transient": args.inject_transient,
         }
 
     budget = _budget_from_args(args)

@@ -49,7 +49,7 @@ from repro.obs import trace as _trace
 from repro.obs.provenance import remember
 from repro.resilience import budget as _budget
 from repro.resilience import isolation as _isolation
-from repro.resilience.errors import RecoveryPolicy, ReproError, wrap_exception
+from repro.resilience.errors import ReproError
 from repro.resilience.faultinject import fault_point
 from repro.symbolic.closedform import ClosedFormError
 from repro.symbolic.expr import Expr
@@ -522,12 +522,12 @@ def _classify_loop_contained(
     """Classify one loop, containing any failure to that loop.
 
     Outside a resilient context (or under ``--strict-errors``) failures
-    propagate unchanged.  Inside one, a RETRY-policy error re-runs the
-    loop once; anything else (or a failed retry) degrades the loop: its
-    summary is a :class:`DegradedLoopSummary`, so every name it defines
-    reads as ``Unknown`` and -- because loops are processed inner-first --
-    enclosing regions see its exit values as unknown, which contains the
-    damage without further special-casing.
+    propagate unchanged.  Inside one, a failure degrades the loop:
+    its summary is a :class:`DegradedLoopSummary`, so every name it
+    defines reads as ``Unknown`` and -- because loops are processed
+    inner-first -- enclosing regions see its exit values as unknown,
+    which contains the damage without further special-casing.  The
+    classification is deterministic, so re-running it could not help.
     """
     partial: Dict[str, Classification] = {}
     try:
@@ -535,22 +535,6 @@ def _classify_loop_contained(
         _budget.check_deadline("classify")
         return _analyze_loop(function, loop, result, partial=partial)
     except Exception as error:  # noqa: BLE001 - the isolation boundary
-        wrapped = wrap_exception(error, "classify.loop")
-        if wrapped.policy is RecoveryPolicy.RETRY and _isolation.isolating():
-            log = _isolation.active_log()
-            log.record(
-                phase="classify.loop",
-                code=wrapped.code,
-                message=wrapped.message,
-                diag_code="RES504",
-                scope=loop.header,
-                action="retried",
-            )
-            try:
-                partial.clear()
-                return _analyze_loop(function, loop, result, partial=partial)
-            except Exception as retry_error:  # noqa: BLE001
-                error = retry_error
         _isolation.absorb(
             error, "classify.loop", scope=loop.header, diag_code="RES501"
         )
@@ -572,8 +556,11 @@ def _analyze_loop(
     for child in loop.children:
         own_blocks -= child.body
 
+    # blocks in function order and symbols sorted: the region's node
+    # order fixes the Tarjan walk and the order of the ``classify.scr``
+    # events, which must not follow string hashing
     nodes: Dict[str, RegionNode] = {}
-    for label in own_blocks:
+    for label in [label for label in function.blocks if label in own_blocks]:
         for inst in function.block(label):
             if inst.result is not None:
                 nodes[inst.result] = RegionNode(inst.result, label, inst)
@@ -599,7 +586,7 @@ def _analyze_loop(
             exit_expr = result.exit_value(child.header, name) if child else None
             nodes[name] = RegionNode(name, None, None, exit_expr)
             if exit_expr is not None:
-                for symbol in exit_expr.free_symbols():
+                for symbol in sorted(exit_expr.free_symbols()):
                     if symbol not in nodes:
                         queue.append(symbol)
         # names defined outside loop.body stay external (invariant)

@@ -421,10 +421,8 @@ def _lint_imprecise_dependences(program, out: DiagnosticCollector) -> None:
     subscript classified as Unknown (SRC405).  SRC403 flags the subscript
     itself; this flags the *pairs* whose verdict lost precision, with the
     descriptor's reason carried through the result notes."""
-    from repro.dependence.graph import build_dependence_graph
-
     try:
-        graph = build_dependence_graph(program.result)
+        graph = program.dependences()[0]
     except Exception:
         return  # the graph is itself an optional phase; nothing to report
     seen: Set[Tuple[str, str, str]] = set()

@@ -247,11 +247,6 @@ register(
     "factor, phase deadline) was reached; the affected scope degraded.",
 )
 register(
-    "RES504", "retried-phase", Severity.NOTE, "resilience",
-    "A phase failed with a transient (RETRY-policy) error and was re-run; "
-    "the retry outcome is reported separately if it also failed.",
-)
-register(
     "RES505", "degraded-function", Severity.ERROR, "resilience",
     "A required phase (frontend under fault injection, SSA construction, "
     "whole-function classification) failed; the entire function degraded "

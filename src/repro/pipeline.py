@@ -27,8 +27,9 @@ work for the same dynamic extent.
 
 from __future__ import annotations
 
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.dominators import DominatorTree, dominator_tree
 from repro.analysis.loops import LoopNest, find_loops
@@ -46,11 +47,7 @@ from repro.obs import trace as _trace
 from repro.resilience import budget as _budget
 from repro.resilience import isolation as _isolation
 from repro.resilience.budget import AnalysisBudget
-from repro.resilience.errors import (
-    MissingPhiError,
-    RecoveryPolicy,
-    wrap_exception,
-)
+from repro.resilience.errors import MissingPhiError
 from repro.resilience.isolation import DegradationRecord
 from repro.ssa.construct import SSAInfo, construct_ssa
 
@@ -191,8 +188,8 @@ def analyze(
     bounds.  Optional and isolated: on failure it degrades to a
     no-invariants :class:`InvariantInfo`.
     """
-    with _trace.span("pipeline.analyze"), _isolation.resilient() as log, \
-            _isolation.strict_errors(strict), _budget.budgeted(budget):
+    with _trace.span("pipeline.analyze"), \
+            _analysis_scope(sanitize, strict, budget) as log:
         try:
             program = parse_program(source)
             named = lower_program(program, name=name)
@@ -229,21 +226,33 @@ def analyze_function(
 ) -> AnalyzedProgram:
     """Run SSA construction + classification on named IR.
 
-    ``named`` is kept intact (a clone is converted to SSA).  Failure
-    isolation, strict mode, budgets, and the optional ranges phase work
-    as in :func:`analyze`.
+    ``named`` is kept intact (a clone is converted to SSA).  The
+    sanitizer, failure isolation, strict mode, budgets, and the optional
+    phases work as in :func:`analyze`.
     """
-    if sanitize and not sanitizer.active():
-        with sanitizer.sanitizing(strict=True):
-            return analyze_function(
-                named, source, optimize, strict=strict, budget=budget,
-                ranges=ranges, invariants=invariants,
-            )
-    with _isolation.resilient() as log, _isolation.strict_errors(strict), \
-            _budget.budgeted(budget):
+    with _analysis_scope(sanitize, strict, budget) as log:
         return _analyze_function(
             named, source, optimize, log, ranges=ranges, invariants=invariants
         )
+
+
+@contextmanager
+def _analysis_scope(
+    sanitize: bool, strict: bool, budget: Optional[AnalysisBudget]
+) -> Iterator[_isolation.DegradationLog]:
+    """The contexts one analysis runs under; yields its degradation log.
+
+    Shared by :func:`analyze` and :func:`analyze_function`, so each flag
+    means the same in both.  An enclosing ``sanitizing()`` context wins
+    over ``sanitize`` (contexts do not nest).
+    """
+    with ExitStack() as stack:
+        if sanitize:
+            stack.enter_context(sanitizer.sanitizing(strict=True))
+        log = stack.enter_context(_isolation.resilient())
+        stack.enter_context(_isolation.strict_errors(strict))
+        stack.enter_context(_budget.budgeted(budget))
+        yield log
 
 
 def _expr_cache_totals() -> Dict[str, int]:
@@ -372,45 +381,19 @@ def _analyze_function(
         try:
             domtree = _run_scalar_passes(ssa)
         except Exception as error:  # noqa: BLE001 - phase boundary
-            wrapped = wrap_exception(error, "pipeline.optimize")
-            retry_ok = False
-            if (
-                wrapped.policy is RecoveryPolicy.RETRY
-                and _isolation.isolating()
-            ):
-                log.record(
-                    phase=wrapped.phase or "pipeline.optimize",
-                    code=wrapped.code,
-                    message=wrapped.message,
-                    diag_code="RES504",
-                    action="retried",
-                )
-                # the failed passes mutated ``ssa`` in place: rebuild from
-                # the intact named IR before re-running them
-                try:
-                    ssa = clone_function(named)
-                    ssa_info = construct_ssa(ssa)
-                    domtree = _run_scalar_passes(ssa)
-                    retry_ok = True
-                except Exception as retry_error:  # noqa: BLE001
-                    error = retry_error
-                    wrapped = wrap_exception(error, "pipeline.optimize")
-            if not retry_ok:
-                domtree = None
+            _isolation.absorb(
+                error, "pipeline.optimize", action="skipped", diag_code="RES502"
+            )
+            # the failed passes mutated ``ssa`` in place: rebuild it from
+            # the intact named IR and classify the unoptimized form
+            try:
+                ssa = clone_function(named)
+                ssa_info = construct_ssa(ssa)
+            except Exception as rebuild_error:  # noqa: BLE001
                 _isolation.absorb(
-                    error,
-                    wrapped.phase or "pipeline.optimize",
-                    action="skipped",
-                    diag_code="RES502",
+                    rebuild_error, "ssa.construct", diag_code="RES505"
                 )
-                try:
-                    ssa = clone_function(named)
-                    ssa_info = construct_ssa(ssa)
-                except Exception as rebuild_error:  # noqa: BLE001
-                    _isolation.absorb(
-                        rebuild_error, "ssa.construct", diag_code="RES505"
-                    )
-                    return _degraded_from_named(named, source, log)
+                return _degraded_from_named(named, source, log)
     try:
         if domtree is None:
             domtree = dominator_tree(ssa)

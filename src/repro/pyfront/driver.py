@@ -113,11 +113,7 @@ def _loop_rows(program) -> List[Dict[str, Any]]:
     verdicts: Dict[str, Any] = {}
     if result.loops:
         try:
-            from repro.dependence.graph import build_dependence_graph
-            from repro.dependence.loopinfo import analyze_parallelism
-
-            graph = build_dependence_graph(result)
-            verdicts = analyze_parallelism(result, graph)
+            verdicts = program.dependences()[1]
         except Exception:  # noqa: BLE001 - verdicts degrade to undecided
             verdicts = {}
     for summary in sorted(

@@ -39,7 +39,6 @@ from repro.resilience.errors import (
     MissingPhiError,
     RecoveryPolicy,
     ReproError,
-    TransientFault,
     all_error_codes,
     error_code_info,
     wrap_exception,
@@ -78,7 +77,6 @@ __all__ = [
     "MissingPhiError",
     "RecoveryPolicy",
     "ReproError",
-    "TransientFault",
     "absorb",
     "active_log",
     "all_error_codes",

@@ -9,7 +9,9 @@ decide mechanically what to do with it:
 
 * ``DEGRADE`` -- contain the failure at the nearest isolation boundary
   (loop, phase, function) and continue with a degraded result;
-* ``RETRY``   -- re-run the failing phase once (it is transient);
+* ``RETRY``   -- re-dispatch the job to a fresh worker process (only a
+  crashed worker: the analysis itself is deterministic, so re-running it
+  in-process could not change the answer);
 * ``ABORT``   -- propagate: the *input* is wrong (syntax errors) or a
   strict checking tool tripped (the sanitizer), and hiding that would be
   worse than crashing.
@@ -121,11 +123,6 @@ _register(
     "harness (repro.resilience.faultinject).",
 )
 _register(
-    "transient-fault", RecoveryPolicy.RETRY,
-    "An injected (or genuinely transient) failure that is expected to "
-    "succeed on retry; the phase is re-run once before degrading.",
-)
-_register(
     "budget-request-deadline", RecoveryPolicy.DEGRADE,
     "A whole analysis request ran past AnalysisBudget.request_deadline_s; "
     "the remaining phases degrade so the response returns on time.",
@@ -204,12 +201,6 @@ class InjectedFault(ReproError):
     """Raised by an armed fault point (policy DEGRADE)."""
 
     default_code = "injected-fault"
-
-
-class TransientFault(InjectedFault):
-    """Raised by an armed fault point in transient mode (policy RETRY)."""
-
-    default_code = "transient-fault"
 
 
 class MissingPhiError(ReproError, KeyError):

@@ -11,8 +11,8 @@ module-mirror trick; per-process, not per-thread).
 A :class:`FaultPlan` decides *deterministically* which invocations trip:
 
 * ``FaultPlan(points={"classify.loop"})`` -- every hit of those points;
-* ``FaultPlan(points=..., only_first=True)`` -- only the first hit (the
-  retry-policy proof: the re-run succeeds);
+* ``FaultPlan(points=..., only_first=True)`` -- only the first hit (to
+  fault one loop of a nest and leave the others clean);
 * ``FaultPlan(seed=202, rate=0.3)`` -- a seeded pseudo-random sweep: the
   k-th invocation of each point trips iff the seeded stream says so, so
   the same seed over the same corpus always injects the same faults.
@@ -30,7 +30,7 @@ from contextvars import ContextVar
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.obs import metrics as _metrics
-from repro.resilience.errors import InjectedFault, TransientFault
+from repro.resilience.errors import InjectedFault
 
 __all__ = [
     "FAULT_POINTS",
@@ -86,8 +86,6 @@ class FaultPlan:
     stream (deterministic for a fixed seed and call sequence) against
     ``rate``; without one, every eligible invocation trips.
     ``only_first`` trips just the first eligible invocation per point.
-    ``transient`` raises :class:`TransientFault` (policy RETRY) instead
-    of :class:`InjectedFault` (policy DEGRADE).
     """
 
     def __init__(
@@ -96,7 +94,6 @@ class FaultPlan:
         seed: Optional[int] = None,
         rate: float = 1.0,
         only_first: bool = False,
-        transient: bool = False,
     ):
         if points is None:
             self.points: Optional[Set[str]] = None
@@ -110,7 +107,6 @@ class FaultPlan:
         self.seed = seed
         self.rate = rate
         self.only_first = only_first
-        self.transient = transient
         self._rng = random.Random(seed) if seed is not None else None
         self.hits: Dict[str, int] = {}
         #: every (point, invocation index) that actually tripped
@@ -173,12 +169,6 @@ def fault_point(name: str) -> None:
         raise ValueError(f"fault_point({name!r}) is not in FAULT_POINTS")
     if plan.should_trip(name):
         _metrics.inc("resilience.faults.injected")
-        description = FAULT_POINTS[name]
-        if plan.transient:
-            raise TransientFault(
-                f"injected transient fault at {name} ({description})",
-                phase=name,
-            )
         raise InjectedFault(
-            f"injected fault at {name} ({description})", phase=name
+            f"injected fault at {name} ({FAULT_POINTS[name]})", phase=name
         )

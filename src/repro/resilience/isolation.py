@@ -25,15 +25,11 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, TypeVar
+from typing import Callable, List, Optional, TypeVar
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.resilience.errors import (
-    RecoveryPolicy,
-    ReproError,
-    wrap_exception,
-)
+from repro.resilience.errors import RecoveryPolicy, wrap_exception
 
 T = TypeVar("T")
 
@@ -58,7 +54,7 @@ class DegradationRecord:
     ...); ``code`` the taxonomy error code; ``diag_code`` the RES5xx
     diagnostic it surfaces as; ``scope`` the loop label / function name /
     SCR the failure was contained to; ``action`` what the isolation layer
-    did (``degraded``, ``skipped``, ``retried``).
+    did (``degraded`` or ``skipped``).
     """
 
     phase: str
@@ -191,30 +187,10 @@ def run_optional(
     scope: Optional[str] = None,
     diag_code: str = "RES502",
 ) -> Optional[T]:
-    """Run an optional phase; on failure, skip it and return ``default``.
-
-    A :class:`~repro.resilience.errors.RecoveryPolicy.RETRY` error gets
-    one immediate re-run (recorded as ``retried``) before degrading.
-    """
+    """Run an optional phase; on failure, skip it and return ``default``."""
     try:
         return fn()
     except Exception as error:  # noqa: BLE001 - the isolation boundary
-        wrapped = wrap_exception(error, phase)
-        if wrapped.policy is RecoveryPolicy.RETRY and isolating():
-            log = _LOG.get()
-            assert log is not None
-            log.record(
-                phase=phase,
-                code=wrapped.code,
-                message=wrapped.message,
-                diag_code="RES504",
-                scope=scope,
-                action="retried",
-            )
-            try:
-                return fn()
-            except Exception as retry_error:  # noqa: BLE001
-                error = retry_error
         absorb(error, phase, scope=scope, action="skipped", diag_code=diag_code)
         return default
 

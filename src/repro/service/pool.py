@@ -80,7 +80,7 @@ class _Worker:
 class WorkerPool:
     """A fixed-size pool of analysis worker processes.
 
-    ``fault_spec`` (points/seed/rate/only_first/transient) is forwarded
+    ``fault_spec`` (points/seed/rate/only_first) is forwarded
     to every worker, arming the deterministic fault-injection harness
     inside the children -- the chaos path of the load-test harness and
     CI.  ``request_timeout_s`` is the hung-worker backstop; per-job

@@ -34,7 +34,7 @@ from repro.obs import observing
 from repro.obs.runlog import build_record
 from repro.pipeline import analyze
 from repro.resilience.budget import SERVICE_BUDGET, AnalysisBudget
-from repro.resilience.errors import InjectedFault, TransientFault
+from repro.resilience.errors import InjectedFault
 from repro.resilience.faultinject import FaultPlan, fault_point, injecting
 
 __all__ = ["budget_from_options", "run_job", "worker_main"]
@@ -86,8 +86,8 @@ def run_job(
 
     Sits behind the ``serve.worker`` fault point.  Raises
     :class:`~repro.resilience.errors.InjectedFault` when that point is
-    armed -- the worker loop converts the non-transient flavor into a
-    hard ``os._exit`` crash -- and returns a structured failure dict
+    armed -- the worker loop turns it into a hard ``os._exit`` crash --
+    and returns a structured failure dict
     (never raises) for everything else.
     """
     fault_point("serve.worker")
@@ -128,7 +128,7 @@ def run_job(
 
                 report = format_report(program)
     except InjectedFault:
-        raise  # the worker loop decides: crash (plain) or retryable (transient)
+        raise  # the worker loop decides: crash or failure response
     except Exception as error:  # noqa: BLE001 - frontend/abort errors
         from repro.resilience.errors import wrap_exception
 
@@ -304,7 +304,6 @@ def worker_main(
             seed=fault_spec.get("seed"),
             rate=fault_spec.get("rate", 1.0),
             only_first=fault_spec.get("only_first", False),
-            transient=fault_spec.get("transient", False),
         )
     from contextlib import nullcontext
 
@@ -318,12 +317,6 @@ def worker_main(
                 return
             try:
                 response = run_job(job, default_budget)
-            except TransientFault as fault:
-                response = {
-                    "id": job.get("id"),
-                    "ok": False,
-                    "error": {"code": fault.code, "message": fault.message},
-                }
             except InjectedFault as fault:
                 if fault.phase == "serve.worker":
                     # simulate a hard crash: no response, no cleanup --

@@ -18,6 +18,7 @@ from repro.diagnostics.sanitizer import (
 from repro.ir.function import Function
 from repro.ir.instructions import Assign, Jump, Return
 from repro.ir.parser import parse_function
+from repro.obs.metrics import MetricsRegistry, collecting
 from repro.pipeline import analyze
 
 SRC = """
@@ -80,8 +81,12 @@ class TestContext:
         assert "sccp" in stages
 
     def test_analyze_sanitize_flag_is_clean(self):
-        program = analyze(SRC, sanitize=True)  # strict: raises on violation
+        with collecting(MetricsRegistry()) as registry:
+            program = analyze(SRC, sanitize=True)  # strict: raises on violation
         assert program.result.loops
+        # the flag really armed the sanitizer, and only for the call
+        assert registry.snapshot()["counters"]["sanitizer.checkpoints"] > 0
+        assert not active()
 
 
 class TestCacheAudit:

@@ -78,7 +78,7 @@ def test_documented_policies_match_the_registry():
 
 def test_res_diag_codes_are_cross_referenced():
     text = read_docs()
-    for code in ("RES501", "RES502", "RES503", "RES504", "RES505"):
+    for code in ("RES501", "RES502", "RES503", "RES505"):
         assert code in text, f"{code} not mentioned in docs/ROBUSTNESS.md"
 
 

@@ -9,7 +9,6 @@ from repro.resilience.errors import (
     MissingPhiError,
     RecoveryPolicy,
     ReproError,
-    TransientFault,
     all_error_codes,
     error_code_info,
     wrap_exception,
@@ -48,7 +47,7 @@ class TestRegistry:
             for code in all_error_codes()
             if error_code_info(code).policy is RecoveryPolicy.RETRY
         }
-        assert retrying == {"transient-fault", "worker-crash"}
+        assert retrying == {"worker-crash"}
 
 
 class TestReproError:
@@ -74,8 +73,6 @@ class TestReproError:
     def test_subclass_default_codes(self):
         assert BudgetExceeded("b").code == "budget-deadline"
         assert InjectedFault("i").code == "injected-fault"
-        assert TransientFault("t").code == "transient-fault"
-        assert TransientFault("t").policy is RecoveryPolicy.RETRY
         assert MissingPhiError("m").code == "missing-header-phi"
 
     def test_missing_phi_error_is_a_keyerror(self):

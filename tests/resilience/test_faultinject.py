@@ -3,7 +3,7 @@
 import pytest
 
 from repro.pipeline import analyze
-from repro.resilience.errors import InjectedFault, TransientFault
+from repro.resilience.errors import InjectedFault
 from repro.resilience.faultinject import (
     FAULT_POINTS,
     FaultPlan,
@@ -99,11 +99,6 @@ class TestFaultPoint:
             with pytest.raises(InjectedFault) as info:
                 fault_point("classify.loop")
         assert info.value.phase == "classify.loop"
-
-    def test_transient_plan_raises_transient_fault(self):
-        with injecting(FaultPlan(points={"scalar.gvn"}, transient=True)):
-            with pytest.raises(TransientFault):
-                fault_point("scalar.gvn")
 
     def test_injection_counts_the_metric(self):
         from repro.obs.metrics import MetricsRegistry, collecting

@@ -4,11 +4,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.obs.trace import Tracer, tracing
-from repro.resilience.errors import (
-    BudgetExceeded,
-    ReproError,
-    TransientFault,
-)
+from repro.resilience.errors import BudgetExceeded, ReproError
 from repro.resilience.isolation import (
     DegradationLog,
     absorb,
@@ -100,28 +96,19 @@ class TestRunOptional:
         assert log.records[0].action == "skipped"
         assert log.records[0].diag_code == "RES502"
 
-    def test_transient_failure_retried_once(self):
+    def test_retry_policy_error_is_skipped_without_a_rerun(self):
+        # the analysis is deterministic: even a RETRY-policy code runs once
         calls = []
 
-        def flaky():
+        def crashing():
             calls.append(1)
-            if len(calls) == 1:
-                raise TransientFault("blip")
-            return "ok"
+            raise ReproError("gone", code="worker-crash")
 
         with resilient() as log:
-            assert run_optional("scalar.gvn", flaky) == "ok"
-        assert len(calls) == 2
-        assert [r.action for r in log.records] == ["retried"]
-        assert log.records[0].diag_code == "RES504"
-
-    def test_retry_failure_then_skips(self):
-        def always_flaky():
-            raise TransientFault("blip")
-
-        with resilient() as log:
-            assert run_optional("scalar.gvn", always_flaky, default=3) == 3
-        assert [r.action for r in log.records] == ["retried", "skipped"]
+            assert run_optional("scalar.gvn", crashing, default=3) == 3
+        assert len(calls) == 1
+        assert [r.action for r in log.records] == ["skipped"]
+        assert log.records[0].diag_code == "RES502"
 
     def test_outside_resilient_reraises(self):
         with pytest.raises(ZeroDivisionError):

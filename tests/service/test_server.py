@@ -14,7 +14,6 @@ import pytest
 from repro.obs.metrics import MetricsRegistry, collecting
 from repro.obs.runlog import source_fingerprint
 from repro.obs.trace import Tracer, tracing
-from repro.resilience.errors import TransientFault
 from repro.service import AnalysisServer, ServiceClient
 from repro.service import server as server_module
 from repro.service.cache import ResultCache
@@ -418,18 +417,9 @@ class TestRetry:
         assert result["error"]["code"] == "worker-crash"
         assert result["diagnostics"][0]["code"] == "RES506"
 
-    def test_transient_fault_is_retried_to_success(self, delays):
-        def transient(_job, timeout_s=None):
-            return JobOutcome(
-                ok=True,
-                response={
-                    "ok": False,
-                    "error": {"code": "transient-fault", "message": "blip"},
-                },
-            )
-
+    def test_crash_is_retried_to_success(self, delays):
         server = AnalysisServer(pool_size=1)
-        server.pool = ScriptedPool(transient, transient, clean)
+        server.pool = ScriptedPool(crash, crash, clean)
         with tracing(Tracer()) as tracer:
             result, counters = run_scripted(server)
         assert result["status"] == "ok"
@@ -437,8 +427,8 @@ class TestRetry:
         assert counters["service.retries"] == 2
         retries = [e.attrs for e in tracer.events if e.name == "service.retry"]
         assert retries == [
-            {"code": "transient-fault", "attempt": 0},
-            {"code": "transient-fault", "attempt": 1},
+            {"code": "worker-crash", "attempt": 0},
+            {"code": "worker-crash", "attempt": 1},
         ]
 
     def test_timeout_is_not_retried(self, delays):
