@@ -15,8 +15,11 @@ clients sending a deterministic mixed workload:
   workers.
 
 With ``--crash-rate`` > 0 the server is booted with deterministic fault
-injection at the ``serve.worker`` point (``--inject-seed`` pins the RNG
-stream), so a fraction of jobs hard-crash their worker mid-request.  The
+injection at the ``serve.worker`` point (``--inject-seed`` keys it:
+whether a job crashes is a hash of the seed, the program's fingerprint
+and the dispatch attempt), so a fraction of jobs hard-crash their
+worker mid-request, and a rerun with the same seed crashes the same
+ones.  The
 pass criteria are the serving contract:
 
 1. **zero protocol failures** -- every request gets a well-formed

@@ -289,7 +289,6 @@ def _budget_from_args(args):
 
     return AnalysisBudget(
         max_expr_terms=terms,
-        phase_deadline_s=deadline,
         request_deadline_s=deadline,
     )
 
@@ -664,8 +663,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         prog="repro serve",
         description="Run the fault-tolerant analysis service: a TCP "
         "daemon sharding requests across a worker-process pool with "
-        "retry/timeout/backoff, a result cache that also remembers "
-        "failing programs, and graceful degradation (see docs/SERVICE.md)",
+        "crash re-dispatch and hung-worker kill, a result cache that also "
+        "remembers failing programs, and graceful degradation (see "
+        "docs/SERVICE.md)",
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(
@@ -748,7 +748,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=None,
         dest="inject_seed",
         metavar="SEED",
-        help="deterministic RNG seed for rate-based --inject",
+        help="seed for rate-based --inject: a hit trips when a hash of "
+        "(seed, point, program, attempt) falls below the rate",
     )
     parser.add_argument(
         "--metrics",

@@ -500,12 +500,11 @@ def classify_function(
         nest = find_loops(function, domtree)
     result = AnalysisResult(function, nest, domtree)
     with _trace.span("classify", function=function.name):
-        with _budget.phase_deadline("classify"):
-            for loop in nest.inner_to_outer():
-                with _trace.span("classify.loop", loop=loop.header):
-                    result.loops[loop.header] = _classify_loop_contained(
-                        function, loop, result
-                    )
+        for loop in nest.inner_to_outer():
+            with _trace.span("classify.loop", loop=loop.header):
+                result.loops[loop.header] = _classify_loop_contained(
+                    function, loop, result
+                )
     registry = _metrics.active()
     if registry is not None:
         registry.inc("classify.loops", len(result.loops))
@@ -532,7 +531,7 @@ def _classify_loop_contained(
     partial: Dict[str, Classification] = {}
     try:
         fault_point("classify.loop")
-        _budget.check_deadline("classify")
+        _budget.check_request_deadline("classify")
         return _analyze_loop(function, loop, result, partial=partial)
     except Exception as error:  # noqa: BLE001 - the isolation boundary
         _isolation.absorb(

@@ -244,7 +244,7 @@ register(
 register(
     "RES503", "budget-exhausted", Severity.WARNING, "resilience",
     "An AnalysisBudget limit (expression terms, matrix dimension, unroll "
-    "factor, phase deadline) was reached; the affected scope degraded.",
+    "factor, analysis deadline) was reached; the affected scope degraded.",
 )
 register(
     "RES505", "degraded-function", Severity.ERROR, "resilience",

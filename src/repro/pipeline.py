@@ -336,10 +336,10 @@ def _run_scalar_passes(ssa: Function) -> DominatorTree:
     from repro.scalar.sccp import run_sccp
     from repro.scalar.simplify import simplify_instructions
 
-    with _trace.span("pipeline.optimize"), _budget.phase_deadline("optimize"):
+    with _trace.span("pipeline.optimize"):
         domtree = dominator_tree(ssa)
         for _ in range(3):
-            _budget.check_deadline("optimize")
+            _budget.check_request_deadline("optimize")
             run_sccp(ssa)
             sanitizer.checkpoint(ssa, "sccp")
             changed = simplify_instructions(ssa)

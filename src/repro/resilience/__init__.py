@@ -6,8 +6,7 @@ crash.  This package supplies the four pieces that make the pipeline
 live up to that:
 
 * :mod:`repro.resilience.errors` -- the structured error taxonomy:
-  stable error codes, each with a recovery policy (DEGRADE / RETRY /
-  ABORT);
+  stable error codes, each with a recovery policy (DEGRADE / ABORT);
 * :mod:`repro.resilience.isolation` -- scoped failure-isolation
   boundaries (per SCR, per loop, per phase, per function) with a
   :class:`DegradationLog` feeding diagnostics, metrics, and reports;
@@ -25,10 +24,8 @@ from repro.resilience.budget import (
     AnalysisBudget,
     budgeted,
     charge_expr_terms,
-    check_deadline,
     check_request_deadline,
     matrix_dim_allowed,
-    phase_deadline,
     unroll_cap,
 )
 from repro.resilience.errors import (
@@ -56,7 +53,6 @@ from repro.resilience.isolation import (
     absorb,
     active_log,
     diagnostics_of,
-    isolating,
     resilient,
     run_optional,
     strict_active,
@@ -83,15 +79,12 @@ __all__ = [
     "all_fault_points",
     "budgeted",
     "charge_expr_terms",
-    "check_deadline",
     "check_request_deadline",
     "diagnostics_of",
     "error_code_info",
     "fault_point",
     "injecting",
-    "isolating",
     "matrix_dim_allowed",
-    "phase_deadline",
     "resilient",
     "run_optional",
     "strict_active",

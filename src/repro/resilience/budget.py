@@ -35,10 +35,8 @@ __all__ = [
     "active",
     "budgeted",
     "charge_expr_terms",
-    "check_deadline",
     "check_request_deadline",
     "matrix_dim_allowed",
-    "phase_deadline",
     "unroll_cap",
 ]
 
@@ -54,18 +52,15 @@ class AnalysisBudget:
       matrices (polynomial degree + geometric bases + 1);
     * ``max_unroll_trips`` -- trip count beyond which unroll/peel
       transforms refuse to expand the IR;
-    * ``phase_deadline_s`` -- wall-clock seconds any single pipeline
-      phase (optimize, classify) may run;
     * ``request_deadline_s`` -- wall-clock seconds the *whole* analysis
-      may run (the serving layer's per-request budget); checked at phase
-      boundaries, so overrun degrades the remaining phases rather than
-      the finished ones.
+      may run; checked at phase boundaries, between scalar-pass rounds
+      and before each loop's classification, so overrun degrades the
+      remaining work rather than the finished work.
     """
 
     max_expr_terms: Optional[int] = None
     max_matrix_dim: Optional[int] = None
     max_unroll_trips: Optional[int] = None
-    phase_deadline_s: Optional[float] = None
     request_deadline_s: Optional[float] = None
 
 
@@ -76,15 +71,11 @@ SERVICE_BUDGET = AnalysisBudget(
     max_expr_terms=4096,
     max_matrix_dim=12,
     max_unroll_trips=256,
-    phase_deadline_s=10.0,
-    request_deadline_s=30.0,
+    request_deadline_s=10.0,
 )
 
 _BUDGET: ContextVar[Optional[AnalysisBudget]] = ContextVar(
     "repro_resilience_budget", default=None
-)
-_DEADLINE: ContextVar[Optional[float]] = ContextVar(
-    "repro_resilience_deadline", default=None
 )
 _REQUEST_DEADLINE: ContextVar[Optional[float]] = ContextVar(
     "repro_resilience_request_deadline", default=None
@@ -161,45 +152,16 @@ def unroll_cap(requested: int) -> int:
     return min(requested, budget.max_unroll_trips)
 
 
-@contextmanager
-def phase_deadline(phase: str):
-    """Start the per-phase deadline clock for the dynamic extent.
-
-    No-op without a budget (or without ``phase_deadline_s``).  The clock
-    is *checked* cooperatively -- :func:`check_deadline` at loop
-    boundaries inside the phase -- so granularity is one unit of phase
-    work, not a hard preemption.
-    """
-    budget = _BUDGET.get()
-    if budget is None or budget.phase_deadline_s is None:
-        yield
-        return
-    token = _DEADLINE.set(time.monotonic() + budget.phase_deadline_s)
-    try:
-        yield
-    finally:
-        _DEADLINE.reset(token)
-
-
-def check_deadline(phase: str) -> None:
-    """Raise when the current phase (or whole request) ran past its deadline."""
-    deadline = _DEADLINE.get()
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceeded(
-            f"phase {phase!r} ran past its deadline",
-            code="budget-deadline",
-            phase=phase,
-        )
-    check_request_deadline(phase)
-
-
 def check_request_deadline(phase: str) -> None:
-    """Raise when the whole request ran past ``request_deadline_s``.
+    """Raise when the whole analysis ran past ``request_deadline_s``.
 
-    Called at phase boundaries by the pipeline (and inside
-    :func:`check_deadline`), so an over-budget request degrades its
-    *remaining* phases -- the finished ones stand -- and the serving
-    layer can respond before its own hung-worker timeout fires.
+    Called at phase boundaries, between scalar-pass rounds and before
+    each loop's classification, so an over-budget analysis degrades its
+    *remaining* work -- the finished work stands.  Under ``repro
+    serve`` this check does not bind a request's ``deadline_s``: the
+    pool's hung-worker kill uses the same number and starts its clock
+    first, so it kills the worker (``request-timeout``) before the
+    analysis can see its own deadline pass.
     """
     deadline = _REQUEST_DEADLINE.get()
     if deadline is not None and time.monotonic() > deadline:

@@ -9,9 +9,6 @@ decide mechanically what to do with it:
 
 * ``DEGRADE`` -- contain the failure at the nearest isolation boundary
   (loop, phase, function) and continue with a degraded result;
-* ``RETRY``   -- re-dispatch the job to a fresh worker process (only a
-  crashed worker: the analysis itself is deterministic, so re-running it
-  in-process could not change the answer);
 * ``ABORT``   -- propagate: the *input* is wrong (syntax errors) or a
   strict checking tool tripped (the sanitizer), and hiding that would be
   worse than crashing.
@@ -34,7 +31,6 @@ class RecoveryPolicy(enum.Enum):
     """What the isolation layer does with an error of a given code."""
 
     DEGRADE = "degrade"
-    RETRY = "retry"
     ABORT = "abort"
 
 
@@ -113,25 +109,20 @@ _register(
     "unroll/peel transform leaves the function untouched.",
 )
 _register(
-    "budget-deadline", RecoveryPolicy.DEGRADE,
-    "A pipeline phase ran past AnalysisBudget.phase_deadline_s; the "
-    "remaining work in that phase degrades.",
-)
-_register(
     "injected-fault", RecoveryPolicy.DEGRADE,
     "A fault deliberately injected by the deterministic fault-injection "
     "harness (repro.resilience.faultinject).",
 )
 _register(
     "budget-request-deadline", RecoveryPolicy.DEGRADE,
-    "A whole analysis request ran past AnalysisBudget.request_deadline_s; "
-    "the remaining phases degrade so the response returns on time.",
+    "A whole analysis ran past AnalysisBudget.request_deadline_s; the "
+    "remaining phases degrade instead of running on.",
 )
 _register(
-    "worker-crash", RecoveryPolicy.RETRY,
+    "worker-crash", RecoveryPolicy.DEGRADE,
     "An analysis worker process died mid-job (crash, OOM kill, injected "
-    "serve.worker fault); the job is retried on a respawned worker with "
-    "backoff, then degrades to a partial response.",
+    "serve.worker fault); the server re-dispatches the job to the "
+    "respawned worker, up to 3 attempts, then degrades the response.",
 )
 _register(
     "request-timeout", RecoveryPolicy.DEGRADE,
@@ -194,7 +185,7 @@ class ReproError(Exception):
 class BudgetExceeded(ReproError):
     """A resource budget ran out (see :mod:`repro.resilience.budget`)."""
 
-    default_code = "budget-deadline"
+    default_code = "budget-request-deadline"
 
 
 class InjectedFault(ReproError):

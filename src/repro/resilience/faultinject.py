@@ -14,8 +14,14 @@ A :class:`FaultPlan` decides *deterministically* which invocations trip:
 * ``FaultPlan(points=..., only_first=True)`` -- only the first hit (to
   fault one loop of a nest and leave the others clean);
 * ``FaultPlan(seed=202, rate=0.3)`` -- a seeded pseudo-random sweep: the
-  k-th invocation of each point trips iff the seeded stream says so, so
-  the same seed over the same corpus always injects the same faults.
+  k-th invocation of a point trips iff a hash of (seed, point, scope, k)
+  falls below the rate, so the same seed over the same corpus always
+  injects the same faults, whatever order the work arrives in.
+
+The scope is ``None`` unless :meth:`FaultPlan.rescope` names one.  A
+serve worker rescopes to each job's ``(fingerprint, attempt)``, so
+whether a job crashes depends on the program and the attempt, never on
+which jobs its worker ran before.
 
 The chaos suite (``tests/resilience/test_chaos.py``) arms every point in
 turn over the ``examples/`` corpus and asserts that ``analyze()`` always
@@ -24,10 +30,10 @@ returns a degraded-but-valid :class:`~repro.pipeline.AnalyzedProgram`.
 
 from __future__ import annotations
 
-import random
+import hashlib
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.obs import metrics as _metrics
 from repro.resilience.errors import InjectedFault
@@ -82,10 +88,10 @@ class FaultPlan:
     """A deterministic decision procedure over fault-point invocations.
 
     ``points`` restricts which named points may trip (``None`` = all).
-    With a ``seed``, each invocation consults a :class:`random.Random`
-    stream (deterministic for a fixed seed and call sequence) against
-    ``rate``; without one, every eligible invocation trips.
-    ``only_first`` trips just the first eligible invocation per point.
+    With a ``seed``, the k-th invocation of a point in the current scope
+    trips iff :func:`_draw` of (seed, point, scope, k) is below ``rate``;
+    without one, every eligible invocation trips.  ``only_first`` trips
+    just the first eligible invocation per point.
     """
 
     def __init__(
@@ -107,10 +113,15 @@ class FaultPlan:
         self.seed = seed
         self.rate = rate
         self.only_first = only_first
-        self._rng = random.Random(seed) if seed is not None else None
+        self.scope: Optional[Hashable] = None
         self.hits: Dict[str, int] = {}
         #: every (point, invocation index) that actually tripped
         self.fired: List[Tuple[str, int]] = []
+
+    def rescope(self, scope: Optional[Hashable]) -> None:
+        """Key later decisions on ``scope``; hit counts restart at 0."""
+        self.scope = scope
+        self.hits = {}
 
     def should_trip(self, point: str) -> bool:
         if self.points is not None and point not in self.points:
@@ -119,10 +130,26 @@ class FaultPlan:
         self.hits[point] = index + 1
         if self.only_first and index > 0:
             return False
-        if self._rng is not None and self._rng.random() >= self.rate:
+        if (
+            self.seed is not None
+            and _draw(self.seed, point, self.scope, index) >= self.rate
+        ):
             return False
         self.fired.append((point, index))
         return True
+
+
+def _draw(
+    seed: int, point: str, scope: Optional[Hashable], index: int
+) -> float:
+    """A uniform value in [0, 1) that depends on its arguments alone.
+
+    A digest, not :func:`hash`: string hashing is salted per process,
+    and a draw must repeat across processes and runs.
+    """
+    key = repr((seed, point, scope, index)).encode("utf-8")
+    digest = hashlib.blake2b(key, digest_size=8).digest()
+    return int.from_bytes(digest, "big") / 2.0**64
 
 
 _PLAN: ContextVar[Optional[FaultPlan]] = ContextVar(

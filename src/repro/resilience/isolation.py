@@ -38,7 +38,6 @@ __all__ = [
     "DegradationRecord",
     "absorb",
     "active_log",
-    "isolating",
     "resilient",
     "run_optional",
     "strict_active",
@@ -121,11 +120,6 @@ def active_log() -> Optional[DegradationLog]:
 
 def strict_active() -> bool:
     return _STRICT.get()
-
-
-def isolating() -> bool:
-    """True when failures should be contained rather than propagated."""
-    return _LOG.get() is not None and not _STRICT.get()
 
 
 @contextmanager

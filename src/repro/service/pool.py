@@ -12,8 +12,8 @@ run genuinely in parallel.
 The failure contract, per dispatch:
 
 * **crash** -- the worker died mid-job (broken/EOF pipe).  The pool
-  respawns the shard and reports ``worker-crash`` (policy RETRY: the
-  server re-dispatches with backoff onto the fresh worker);
+  respawns the shard before it reports ``worker-crash``, so the server
+  can re-dispatch at once onto the fresh worker;
 * **hang** -- no response within the timeout.  The pool SIGKILLs the
   worker, respawns, and reports ``request-timeout`` (policy DEGRADE:
   a re-run would hang the same way);
@@ -80,10 +80,10 @@ class _Worker:
 class WorkerPool:
     """A fixed-size pool of analysis worker processes.
 
-    ``fault_spec`` (points/seed/rate/only_first) is forwarded
-    to every worker, arming the deterministic fault-injection harness
-    inside the children -- the chaos path of the load-test harness and
-    CI.  ``request_timeout_s`` is the hung-worker backstop; per-job
+    ``fault_spec`` (points/seed/rate) is forwarded to every worker,
+    arming the deterministic fault-injection harness inside the
+    children -- the chaos path of the load-test harness and CI.
+    ``request_timeout_s`` is the hung-worker backstop; per-job
     ``timeout_s`` may only tighten it.
     """
 
@@ -119,19 +119,9 @@ class WorkerPool:
 
     def _spawn(self, worker: _Worker) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        fault_spec = self.fault_spec
-        if fault_spec is not None and fault_spec.get("seed") is not None:
-            # each worker *incarnation* draws a distinct deterministic
-            # substream: otherwise every respawn replays the base stream
-            # from the top and rate-based injection degenerates to
-            # "first-job crash always/never"
-            fault_spec = dict(fault_spec)
-            fault_spec["seed"] = (
-                fault_spec["seed"] + worker.index * 1009 + worker.respawns * 101
-            )
         process = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, worker.index, fault_spec, self.budget_spec),
+            args=(child_conn, worker.index, self.fault_spec, self.budget_spec),
             daemon=True,
             name=f"repro-worker-{worker.index}",
         )
@@ -151,7 +141,7 @@ class WorkerPool:
         if worker.process is not None and worker.process.is_alive():
             worker.process.kill()
             worker.process.join(timeout=2.0)
-        worker.respawns += 1  # before _spawn: the incarnation seed uses it
+        worker.respawns += 1
         self._spawn(worker)
         _metrics.inc("service.worker.respawns")
 

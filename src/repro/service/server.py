@@ -19,10 +19,11 @@ Per ``analyze`` request the server:
    for :data:`FAILURE_TTL_S`, worker-level failures: a program that
    keeps killing workers is answered from the cache, not re-dispatched
    (any cache failure reads as a miss);
-3. dispatches to the pool, retrying RETRY-policy failures: a crashed
-   worker (``worker-crash``) gets up to :data:`RETRY_ATTEMPTS` attempts
-   with jittered backoff on the respawned shard, while a hung worker
-   (``request-timeout``, policy DEGRADE) is killed once and degraded;
+3. dispatches to the pool, re-dispatching only a crashed worker
+   (``worker-crash``): up to :data:`RETRY_ATTEMPTS` attempts, each at
+   once, since the pool has respawned the shard before it reports the
+   crash.  A hung worker (``request-timeout``) is killed once and
+   degraded: a re-run would hang the same way;
 4. wraps the whole exchange in a per-request
    :func:`repro.obs.metrics.isolated` registry, so one request's
    counters never bleed into another's while invocation-wide totals
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
-import random
 import socket
 import threading
 import time
@@ -49,11 +49,7 @@ from repro.obs.runlog import RunLogWriter, source_fingerprint
 from repro.obs.trace import event as _trace_event
 from repro.obs.trace import span as _trace_span
 from repro.resilience.budget import SERVICE_BUDGET, AnalysisBudget
-from repro.resilience.errors import (
-    ReproError,
-    RecoveryPolicy,
-    wrap_exception,
-)
+from repro.resilience.errors import ReproError, wrap_exception
 from repro.resilience.isolation import DegradationLog
 from repro.service.cache import ResultCache, cache_key, safe_lookup, safe_store
 from repro.service.pool import JobOutcome, WorkerPool
@@ -75,8 +71,8 @@ _DIAG_FOR_CODE = {
     "response-overflow": "RES509",
 }
 
-#: dispatches per program when the failure's policy is RETRY (a crashed
-#: worker): bounded, so a crashing program costs at most this many jobs
+#: dispatches per program when the worker crashes: bounded, so a
+#: crashing program costs at most this many jobs
 RETRY_ATTEMPTS = 3
 
 #: seconds a worker-level failure stays in the result cache: within it,
@@ -89,16 +85,6 @@ FAILURE_TTL_S = 30.0
 #: cached like any worker failure: the same source always gets it again,
 #: so a repeat costs no dispatch
 _CLIENT_ERRORS = ("frontend-error", "malformed-request")
-
-
-def _backoff_s(retry_index: int, rng: random.Random) -> float:
-    """The sleep before retry ``retry_index`` (0-based).
-
-    Exponential (``0.05 * 4**k``: 0.05 s, then 0.2 s), scaled by a
-    jitter factor in ``[0.5, 1]`` so concurrent retries do not run in
-    lockstep.
-    """
-    return 0.05 * 4**retry_index * (1.0 - 0.5 * rng.random())
 
 
 def _degradation_payload(log: DegradationLog) -> List[Dict[str, Any]]:
@@ -137,8 +123,6 @@ class AnalysisServer:
             budget_spec=dataclasses.asdict(default_budget),
         )
         self.cache = ResultCache(capacity=cache_capacity)
-        # the backoff jitter stream, seeded so a run is reproducible
-        self._retry_rng = random.Random(0x5EED)
         self.runlog: Optional[RunLogWriter] = (
             RunLogWriter(runlog_dir) if runlog_dir else None
         )
@@ -501,7 +485,7 @@ class AnalysisServer:
         }
 
     # ------------------------------------------------------------------
-    # one program through cache -> retrying dispatch
+    # one program through cache -> dispatch
     # ------------------------------------------------------------------
     def _next_job_id(self) -> int:
         with self._seq_lock:
@@ -558,18 +542,22 @@ class AnalysisServer:
             remember = None
 
         for attempt in range(RETRY_ATTEMPTS):
+            # the attempt keys the worker's injected faults, so a chaos
+            # run crashes the same (program, attempt) pairs every time
+            job["attempt"] = attempt
             try:
                 outcome = self._dispatch(job)
                 break
             except ReproError as error:
+                # only a crash is re-dispatched: the analysis is
+                # deterministic, so any other failure would repeat
                 if (
                     attempt + 1 == RETRY_ATTEMPTS
-                    or error.policy is not RecoveryPolicy.RETRY
+                    or error.code != "worker-crash"
                 ):
                     return self._degraded_result(base, error, remember)
                 _metrics.inc("service.retries")
                 _trace_event("service.retry", code=error.code, attempt=attempt)
-                time.sleep(_backoff_s(attempt, self._retry_rng))
 
         response = outcome.response
         result = dict(

@@ -18,7 +18,8 @@ worker's.
 Jobs and responses (all plain dicts, JSON-serializable)::
 
     job      {"id": 7, "name": "main", "source": "...", "origin": ...,
-              "fingerprint": "...", "options": {"ranges": true, ...}}
+              "fingerprint": "...", "attempt": 0,
+              "options": {"ranges": true, ...}}
     response {"id": 7, "ok": true, "degraded": false, "record": {...},
               "report": "..." | null}
     failure  {"id": 7, "ok": false,
@@ -28,6 +29,7 @@ Jobs and responses (all plain dicts, JSON-serializable)::
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from typing import Any, Dict, Optional
 
 from repro.obs import observing
@@ -51,32 +53,19 @@ def budget_from_options(
 ) -> AnalysisBudget:
     """The request's :class:`AnalysisBudget`: the service default, tightened.
 
-    ``options["deadline_s"]`` caps both the per-phase and the
-    whole-request clocks (the CLI's ``--deadline-s`` semantics);
-    ``options["max_expr_terms"]`` caps symbolic growth.  A full override
-    dict may be passed as ``options["budget"]`` with any
-    :class:`AnalysisBudget` field.
+    ``options["deadline_s"]`` sets the whole-analysis clock (the CLI's
+    ``--deadline-s`` semantics); ``options["max_expr_terms"]`` caps
+    symbolic growth.
     """
     options = options or {}
-    fields = {
-        "max_expr_terms": default.max_expr_terms,
-        "max_matrix_dim": default.max_matrix_dim,
-        "max_unroll_trips": default.max_unroll_trips,
-        "phase_deadline_s": default.phase_deadline_s,
-        "request_deadline_s": default.request_deadline_s,
-    }
+    budget = default
     deadline = options.get("deadline_s")
     if deadline is not None:
-        fields["phase_deadline_s"] = float(deadline)
-        fields["request_deadline_s"] = float(deadline)
-    if options.get("max_expr_terms") is not None:
-        fields["max_expr_terms"] = int(options["max_expr_terms"])
-    override = options.get("budget")
-    if isinstance(override, dict):
-        for key in fields:
-            if key in override:
-                fields[key] = override[key]
-    return AnalysisBudget(**fields)
+        budget = replace(budget, request_deadline_s=float(deadline))
+    terms = options.get("max_expr_terms")
+    if terms is not None:
+        budget = replace(budget, max_expr_terms=int(terms))
+    return budget
 
 
 def run_job(
@@ -286,10 +275,10 @@ def worker_main(
 ) -> None:
     """The worker process entry point: recv job, run, send response.
 
-    ``fault_spec`` rebuilds a :class:`FaultPlan` inside the child (plans
-    hold an unpicklable RNG), arming the same deterministic injection
-    stream for the worker's whole lifetime -- so ``seed``/``rate`` plans
-    trip reproducibly across the jobs one worker handles.
+    ``fault_spec`` rebuilds a :class:`FaultPlan` inside the child for
+    the worker's whole lifetime.  Each job rescopes it to the job's
+    ``(fingerprint, attempt)``, so whether a ``seed``/``rate`` plan
+    trips depends on the job alone, not on the jobs before it.
     ``budget_spec`` (a dict of :class:`AnalysisBudget` fields) sets the
     server's default per-request budget; per-job options still tighten
     it.  A ``None`` job is the graceful-drain sentinel.
@@ -303,7 +292,6 @@ def worker_main(
             points=fault_spec.get("points"),
             seed=fault_spec.get("seed"),
             rate=fault_spec.get("rate", 1.0),
-            only_first=fault_spec.get("only_first", False),
         )
     from contextlib import nullcontext
 
@@ -315,6 +303,8 @@ def worker_main(
                 return
             if job is None:
                 return
+            if plan is not None:
+                plan.rescope((job.get("fingerprint"), job.get("attempt", 0)))
             try:
                 response = run_job(job, default_budget)
             except InjectedFault as fault:

@@ -10,9 +10,8 @@ from repro.resilience.budget import (
     active,
     budgeted,
     charge_expr_terms,
-    check_deadline,
+    check_request_deadline,
     matrix_dim_allowed,
-    phase_deadline,
     unroll_cap,
 )
 from repro.resilience.errors import BudgetExceeded
@@ -118,24 +117,26 @@ class TestMatrixAndUnrollCaps:
 
 class TestDeadlines:
     def test_deadline_noop_without_budget(self):
-        with phase_deadline("classify"):
-            check_deadline("classify")  # no raise
+        check_request_deadline("classify")  # no raise
 
     def test_expired_deadline_raises(self):
-        with budgeted(AnalysisBudget(phase_deadline_s=0.0)):
-            with phase_deadline("classify"):
-                import time
+        with budgeted(AnalysisBudget(request_deadline_s=0.0)):
+            import time
 
-                time.sleep(0.01)
-                with pytest.raises(BudgetExceeded) as info:
-                    check_deadline("classify")
-        assert info.value.code == "budget-deadline"
+            time.sleep(0.01)
+            with pytest.raises(BudgetExceeded) as info:
+                check_request_deadline("classify")
+        assert info.value.code == "budget-request-deadline"
         assert info.value.phase == "classify"
 
     def test_zero_deadline_degrades_analysis_not_crashes(self):
-        program = analyze(POLY_SRC, budget=AnalysisBudget(phase_deadline_s=0.0))
+        program = analyze(
+            POLY_SRC, budget=AnalysisBudget(request_deadline_s=0.0)
+        )
         assert program.degraded
-        assert any(r.code == "budget-deadline" for r in program.degradations)
+        assert any(
+            r.code == "budget-request-deadline" for r in program.degradations
+        )
         assert all(r.diag_code == "RES503" for r in program.degradations
                    if r.code.startswith("budget-"))
 

@@ -66,9 +66,9 @@ def test_no_undocumented_names(heading):
 
 
 def test_documented_policies_match_the_registry():
-    """Each error-code bullet states its policy as ``(degrade|retry|abort)``."""
+    """Each error-code bullet states its policy as ``(degrade|abort)``."""
     for line in section_text("Error-code catalogue").splitlines():
-        match = re.match(r"- `([^`]+)` — \((degrade|retry|abort)\)", line)
+        match = re.match(r"- `([^`]+)` — \((degrade|abort)\)", line)
         if not match and line.startswith("- `"):
             pytest.fail(f"bullet lacks a policy annotation: {line!r}")
         if match:

@@ -41,13 +41,14 @@ class TestRegistry:
             "request-overflow",
         }
 
-    def test_retry_codes_are_exactly_the_transient_failures(self):
-        retrying = {
-            code
-            for code in all_error_codes()
-            if error_code_info(code).policy is RecoveryPolicy.RETRY
+    def test_worker_crash_has_no_policy_of_its_own(self):
+        # a crashed worker is re-dispatched by the server on its code,
+        # not by a policy of its own
+        assert set(RecoveryPolicy) == {
+            RecoveryPolicy.DEGRADE,
+            RecoveryPolicy.ABORT,
         }
-        assert retrying == {"worker-crash"}
+        assert error_code_info("worker-crash").policy is RecoveryPolicy.DEGRADE
 
 
 class TestReproError:
@@ -71,7 +72,7 @@ class TestReproError:
             ReproError("x", code="made-up")
 
     def test_subclass_default_codes(self):
-        assert BudgetExceeded("b").code == "budget-deadline"
+        assert BudgetExceeded("b").code == "budget-request-deadline"
         assert InjectedFault("i").code == "injected-fault"
         assert MissingPhiError("m").code == "missing-header-phi"
 

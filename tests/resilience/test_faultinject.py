@@ -1,5 +1,7 @@
 """Deterministic fault injection: plans, determinism, point reachability."""
 
+import random
+
 import pytest
 
 from repro.pipeline import analyze
@@ -75,6 +77,32 @@ class TestFaultPlan:
 
         assert run(7) == run(7)
         assert run(7) != run(8)  # astronomically unlikely to collide
+
+    def test_keyed_point_fires_the_same_scopes_in_any_order(self):
+        # a serve worker rescopes per job: whether a job's fault fires
+        # must not depend on the jobs its worker ran before
+        def fired_scopes(scopes):
+            plan = FaultPlan(points={"serve.worker"}, seed=7, rate=0.5)
+            fired = set()
+            for scope in scopes:
+                plan.rescope(scope)
+                if plan.should_trip("serve.worker"):
+                    fired.add(scope)
+            return fired
+
+        scopes = [(f"fp{n}", attempt) for n in range(32) for attempt in (0, 1)]
+        shuffled = list(scopes)
+        random.Random(1).shuffle(shuffled)
+        fired = fired_scopes(scopes)
+        assert fired == fired_scopes(shuffled)
+        assert 0 < len(fired) < len(scopes)
+
+    def test_rescope_restarts_the_hit_count(self):
+        plan = FaultPlan(points={"classify.loop"}, only_first=True)
+        assert plan.should_trip("classify.loop")
+        plan.rescope(("fp", 1))
+        assert plan.hits == {}
+        assert plan.should_trip("classify.loop")
 
     def test_rate_zero_never_trips_but_counts(self):
         plan = FaultPlan(seed=1, rate=0.0)

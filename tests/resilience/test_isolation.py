@@ -10,7 +10,6 @@ from repro.resilience.isolation import (
     absorb,
     active_log,
     diagnostics_of,
-    isolating,
     resilient,
     run_optional,
     strict_active,
@@ -22,17 +21,18 @@ class TestScoping:
     def test_no_context_by_default(self):
         assert active_log() is None
         assert not strict_active()
-        assert not isolating()
 
     def test_resilient_installs_a_log(self):
         with resilient() as log:
             assert active_log() is log
-            assert isolating()
         assert active_log() is None
 
     def test_strict_disables_isolation_inside_resilient(self):
-        with resilient(), strict_errors(True):
-            assert not isolating()
+        with resilient() as log, strict_errors(True):
+            assert strict_active()
+            with pytest.raises(KeyError):
+                absorb(KeyError("k"), "classify.loop")
+        assert not log.records
 
     def test_resilient_accepts_an_external_log(self):
         log = DegradationLog()
@@ -97,7 +97,8 @@ class TestRunOptional:
         assert log.records[0].diag_code == "RES502"
 
     def test_retry_policy_error_is_skipped_without_a_rerun(self):
-        # the analysis is deterministic: even a RETRY-policy code runs once
+        # the analysis is deterministic: even the code the server
+        # re-dispatches (a worker crash) runs once in-process
         calls = []
 
         def crashing():

@@ -104,17 +104,6 @@ class TestCrash:
         finally:
             pool.shutdown(grace_s=5.0)
 
-    def test_incarnation_seeds_differ_across_respawns(self):
-        # rate-based plans must not replay the same stream after a
-        # respawn, or "crash then succeed on retry" can never happen
-        pool = WorkerPool(size=1, fault_spec={"points": ["x"], "seed": 7})
-        worker = pool._workers[0]
-        first = dict(pool.fault_spec)
-        worker.respawns = 1
-        # _spawn derives the per-incarnation seed without mutating the
-        # pool-level spec
-        assert pool.fault_spec == first
-
 
 class TestHang:
     def test_hung_worker_is_killed_and_respawned(self):

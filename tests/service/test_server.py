@@ -15,7 +15,6 @@ from repro.obs.metrics import MetricsRegistry, collecting
 from repro.obs.runlog import source_fingerprint
 from repro.obs.trace import Tracer, tracing
 from repro.service import AnalysisServer, ServiceClient
-from repro.service import server as server_module
 from repro.service.cache import ResultCache
 from repro.service.pool import JobOutcome
 from repro.service.protocol import recv_message
@@ -374,25 +373,13 @@ class ScriptedPool:
     def __init__(self, *steps):
         self.steps = list(steps)
         self.jobs = 0
+        self.attempts = []
 
     def submit(self, job, timeout_s=None):
         step = self.steps[min(self.jobs, len(self.steps) - 1)]
         self.jobs += 1
+        self.attempts.append(job["attempt"])
         return step(job, timeout_s)
-
-
-@pytest.fixture
-def delays(monkeypatch):
-    """Record each retry's backoff instead of sleeping it."""
-    recorded = []
-    real = server_module._backoff_s
-
-    def record(retry_index, rng):
-        recorded.append((retry_index, real(retry_index, rng)))
-        return 0.0
-
-    monkeypatch.setattr(server_module, "_backoff_s", record)
-    return recorded
 
 
 def run_scripted(server, source=GOOD, options=None):
@@ -404,26 +391,25 @@ def run_scripted(server, source=GOOD, options=None):
 
 
 class TestRetry:
-    """Only RETRY-policy failures re-dispatch, at most RETRY_ATTEMPTS times."""
+    """Only a worker crash re-dispatches, at most RETRY_ATTEMPTS times."""
 
-    def test_crash_is_dispatched_three_times_then_degrades(self, delays):
+    def test_crash_is_dispatched_three_times_then_degrades(self):
         server = AnalysisServer(pool_size=1)
         server.pool = ScriptedPool(crash)
         result, counters = run_scripted(server)
         assert RETRY_ATTEMPTS == 3
-        assert server.pool.jobs == RETRY_ATTEMPTS
-        assert [index for index, _delay in delays] == [0, 1]
+        assert server.pool.attempts == [0, 1, 2]
         assert counters["service.retries"] == RETRY_ATTEMPTS - 1
         assert result["error"]["code"] == "worker-crash"
         assert result["diagnostics"][0]["code"] == "RES506"
 
-    def test_crash_is_retried_to_success(self, delays):
+    def test_crash_is_retried_to_success(self):
         server = AnalysisServer(pool_size=1)
         server.pool = ScriptedPool(crash, crash, clean)
         with tracing(Tracer()) as tracer:
             result, counters = run_scripted(server)
         assert result["status"] == "ok"
-        assert server.pool.jobs == 3
+        assert server.pool.attempts == [0, 1, 2]
         assert counters["service.retries"] == 2
         retries = [e.attrs for e in tracer.events if e.name == "service.retry"]
         assert retries == [
@@ -431,19 +417,19 @@ class TestRetry:
             {"code": "worker-crash", "attempt": 1},
         ]
 
-    def test_timeout_is_not_retried(self, delays):
+    def test_timeout_is_not_retried(self):
         server = AnalysisServer(pool_size=1)
         server.pool = ScriptedPool(hang)
         result, counters = run_scripted(server)
         assert server.pool.jobs == 1
-        assert delays == [] and "service.retries" not in counters
+        assert "service.retries" not in counters
         assert result["error"]["code"] == "request-timeout"
         assert result["diagnostics"][0]["code"] == "RES507"
 
     @pytest.mark.parametrize("code", ["frontend-error", "python-syntax-error"])
-    def test_non_retry_codes_are_dispatched_once(self, delays, code):
-        # both are ABORT policy: neither re-dispatches, and both keep
-        # their own code
+    def test_non_retry_codes_are_dispatched_once(self, code):
+        # neither is a crash: neither re-dispatches, and both keep their
+        # own code
         def reported(_job, timeout_s=None):
             return JobOutcome(
                 ok=True,
@@ -453,22 +439,9 @@ class TestRetry:
         server = AnalysisServer(pool_size=1)
         server.pool = ScriptedPool(reported)
         result, _counters = run_scripted(server)
-        assert server.pool.jobs == 1 and delays == []
+        assert server.pool.jobs == 1
         assert result["error"] == {"code": code, "message": "no"}
         assert result["diagnostics"][0]["code"] == "RES501"
-
-    def test_backoff_jitter_stays_within_half_to_full_delay(self, delays):
-        server = AnalysisServer(pool_size=1)
-        server.pool = ScriptedPool(crash)
-        run_scripted(server)
-        run_scripted(server, source=GOOD.replace("10", "14"))
-        factors = []
-        for index, delay in delays:
-            full = 0.05 * 4**index
-            assert 0.5 * full <= delay <= full
-            factors.append(delay / full)
-        assert len(factors) == 4
-        assert len(set(factors)) == 4  # a fresh jitter draw per retry
 
 
 class FakeClock:
@@ -506,7 +479,7 @@ class TestCachedFailures:
         assert [r.get("cached", False) for r in results] == [False] + [True] * 4
         assert {r["error"]["code"] for r in results} == {"worker-crash"}
 
-    def test_failure_expires_after_its_ttl(self, delays):
+    def test_failure_expires_after_its_ttl(self):
         clock = FakeClock()
         server = AnalysisServer(pool_size=1)
         server.cache = ResultCache(clock=clock)
@@ -528,7 +501,7 @@ class TestCachedFailures:
         clock.advance(10 * FAILURE_TTL_S)
         assert run_scripted(server)[0]["cached"] is True
 
-    def test_failures_are_keyed_by_options(self, delays):
+    def test_failures_are_keyed_by_options(self):
         server = AnalysisServer(pool_size=1)
         server.pool = ScriptedPool(hang)
         run_scripted(server)
@@ -537,7 +510,7 @@ class TestCachedFailures:
         assert run_scripted(server)[0]["cached"] is True
         assert server.pool.jobs == 2
 
-    def test_frontend_error_is_never_cached(self, delays):
+    def test_frontend_error_is_never_cached(self):
         def rejected(_job, timeout_s=None):
             return JobOutcome(
                 ok=True,
@@ -562,7 +535,7 @@ class TestCachedFailures:
             ("no-such-code", "internal-error"),
         ],
     )
-    def test_other_reported_failures_are_cached(self, delays, code, answered):
+    def test_other_reported_failures_are_cached(self, code, answered):
         def reported(_job, timeout_s=None):
             return JobOutcome(
                 ok=True,
@@ -574,11 +547,11 @@ class TestCachedFailures:
         run_scripted(server)
         repeat, _ = run_scripted(server)
         # neither is retried: an unregistered code is an internal error
-        assert server.pool.jobs == 1 and delays == []
+        assert server.pool.jobs == 1
         assert repeat["cached"] is True
         assert repeat["error"]["code"] == answered
 
-    def test_requested_hang_is_not_remembered(self, delays):
+    def test_requested_hang_is_not_remembered(self):
         server = AnalysisServer(pool_size=1)
         server.pool = ScriptedPool(hang, clean)
         with collecting(MetricsRegistry()):
@@ -591,7 +564,7 @@ class TestCachedFailures:
         assert server.pool.jobs == 2
         assert fresh["status"] == "ok" and "cached" not in fresh
 
-    def test_cache_capacity_zero_remembers_nothing(self, delays):
+    def test_cache_capacity_zero_remembers_nothing(self):
         server = AnalysisServer(pool_size=1, cache_capacity=0)
         server.pool = ScriptedPool(crash)
         run_scripted(server)
