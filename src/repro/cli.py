@@ -740,7 +740,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=1.0,
         dest="inject_rate",
         metavar="P",
-        help="per-hit trip probability for --inject (default: %(default)s)",
+        help="per-hit trip probability for --inject; below 1 it needs "
+        "--inject-seed (default: %(default)s)",
     )
     parser.add_argument(
         "--inject-seed",
@@ -774,7 +775,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
 
     from repro.obs import observing
     from repro.obs.runlog import DEFAULT_STORE
-    from repro.resilience import all_fault_points
+    from repro.resilience import FaultPlan, all_fault_points
     from repro.resilience.budget import SERVICE_BUDGET
     from repro.service import AnalysisServer
 
@@ -792,6 +793,15 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                 f"error: unknown fault point(s) {', '.join(unknown)} "
                 "(use --inject list)",
                 file=sys.stderr,
+            )
+            return 2
+        try:
+            FaultPlan(
+                args.inject, seed=args.inject_seed, rate=args.inject_rate
+            )
+        except ValueError as error:
+            print(
+                f"error: --inject-rate/--inject-seed: {error}", file=sys.stderr
             )
             return 2
         fault_spec = {

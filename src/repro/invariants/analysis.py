@@ -11,8 +11,9 @@ The phase is optional and isolated behind fault point
 ``invariants.compute``; on failure ``analyze(..., invariants=True)``
 degrades to :meth:`InvariantInfo.degraded_info` and analysis continues.
 Observability mirrors the ranges phase: an ``invariants`` span and the
-``invariants.*`` metrics (loops walked, paths enumerated, dead edges
-pruned, equalities emitted, ranges refined).
+``invariants.*`` metrics (loops walked, paths enumerated, loops
+truncated at ``MAX_PATHS``, dead edges pruned, equalities emitted,
+ranges refined).
 """
 
 from __future__ import annotations
@@ -85,6 +86,10 @@ def compute_invariants(
         )
         registry.inc("invariants.pruned_paths", info.pruned_paths)
         registry.inc("invariants.equalities", info.total())
+        registry.inc(
+            "invariants.truncated",
+            sum(1 for ps in info.path_summaries.values() if ps.truncated),
+        )
         registry.inc(
             "invariants.affine_loops",
             sum(1 for ps in info.path_summaries.values() if ps.affine),

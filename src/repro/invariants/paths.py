@@ -3,8 +3,8 @@
 A loop body without nested loops is a DAG once the back edge is removed
 (any other cycle would be a second natural loop), so its iterations are
 exactly the acyclic header-to-latch paths.  :func:`enumerate_paths` walks
-them, executes them symbolically over the header-phi symbols, and
-records what one trip down each path does to every loop-carried value:
+them; executing them symbolically over the header-phi symbols records
+what one trip down each path does to every loop-carried value:
 
     if c then i = i + 1 else i = i + 3 endif
     =>  path L1,then,endif:  i.2 -> i.2 + 1
@@ -22,6 +22,17 @@ back-edge operands runs -- a derived ``x = a * 3`` or a store cannot
 reach an update.  Symbolic work therefore scales with the distinct path
 prefixes times the slice, not with the paths times the body.
 
+Execution is also deferred.  :func:`enumerate_paths` records only the
+sorted block paths; the shared-prefix execution runs once, on the first
+read of any path's ``updates``, ``update_of``, ``affine`` or
+``describe()``.  ``len(summary.paths)``, ``truncated``, ``complete``,
+``pruned_paths`` and ``notes()`` never trigger it, and
+:attr:`PathSummary.affine` stops at ``complete``, so a ``truncated``
+summary -- which claims nothing -- is executed only when a report prints
+its paths.  The updates are those of the function as it stands at that
+first read: an in-place transform should read them before it rewrites
+the loop.
+
 Dead edges are pruned *before* summarization when a
 :class:`~repro.ranges.analysis.RangeInfo` is supplied: a branch condition
 with a single-constant range (the RNG606 verdict) makes one successor
@@ -31,7 +42,7 @@ counts each such dead edge once, however many paths it removes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.loops import Loop
@@ -51,7 +62,9 @@ _POINT_TRUE = Interval.point(1)
 _POINT_FALSE = Interval.point(0)
 
 
-@dataclass(frozen=True)
+_Updates = Tuple[Tuple[str, Optional[Expr]], ...]
+
+
 class LoopPath:
     """One acyclic header-to-latch path and its joint update map.
 
@@ -60,10 +73,36 @@ class LoopPath:
     header-phi symbols and loop-invariant names -- or ``None`` when the
     path computes something the symbolic executor cannot express
     (division, loads, comparisons...).
+
+    A path from :func:`enumerate_paths` is *deferred*: it knows its
+    blocks, and the first read of ``updates`` (or of ``update_of``,
+    ``affine``, ``describe()``) on any path of the loop executes all of
+    them at once.  Equality and hashing compare blocks and updates.
     """
 
-    blocks: Tuple[str, ...]
-    updates: Tuple[Tuple[str, Optional[Expr]], ...]
+    __slots__ = ("blocks", "_updates", "_pending")
+
+    def __init__(self, blocks: Tuple[str, ...], updates: _Updates):
+        self.blocks = blocks
+        self._updates = updates
+        #: ``(execution, index)`` until the first read of ``updates``
+        self._pending: Optional[Tuple["_PathExecution", int]] = None
+
+    @classmethod
+    def _deferred(
+        cls, blocks: Tuple[str, ...], execution: "_PathExecution", index: int
+    ) -> "LoopPath":
+        path = cls(blocks, ())
+        path._pending = (execution, index)
+        return path
+
+    @property
+    def updates(self) -> _Updates:
+        if self._pending is not None:
+            execution, index = self._pending
+            self._updates = execution.run()[index].updates
+            self._pending = None
+        return self._updates
 
     def update_of(self, name: str) -> Optional[Expr]:
         for phi, expr in self.updates:
@@ -85,6 +124,43 @@ class LoopPath:
             for phi, expr in self.updates
         )
         return f"[{' -> '.join(self.blocks)}] {{{steps}}}"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.blocks == other.blocks and self.updates == other.updates
+
+    def __hash__(self) -> int:
+        return hash((self.blocks, self.updates))
+
+    def __repr__(self) -> str:
+        return f"LoopPath(blocks={self.blocks!r}, updates={self.updates!r})"
+
+
+class _PathExecution:
+    """The deferred :func:`_execute_paths` of one loop's sorted paths.
+
+    Holds no reference to the :class:`LoopPath` objects it serves, so a
+    summary forms no reference cycle.
+    """
+
+    __slots__ = ("_inputs", "_executed")
+
+    def __init__(
+        self,
+        function: Function,
+        loop: Loop,
+        header_phis: List[Phi],
+        paths: List[Tuple[str, ...]],
+    ):
+        self._inputs: Optional[tuple] = (function, loop, header_phis, paths)
+        self._executed: Tuple[LoopPath, ...] = ()
+
+    def run(self) -> Tuple[LoopPath, ...]:
+        if self._inputs is not None:
+            self._executed = _execute_paths(*self._inputs)
+            self._inputs = None
+        return self._executed
 
 
 @dataclass
@@ -129,6 +205,8 @@ def enumerate_paths(
     Returns ``None`` for loops containing nested loops (their region is
     not a path DAG; the classifier already summarizes them through exit
     values).  ``ranges`` (a ``RangeInfo``) enables dead-edge pruning.
+    The returned paths are deferred: their updates are executed on first
+    read (see the module docstring).
     """
     if loop.children:
         return None
@@ -172,7 +250,12 @@ def enumerate_paths(
             # exit edges (and the impossible in-path revisit) end the walk
 
     summary.pruned_paths = len(dead_edges)
-    summary.paths = _execute_paths(function, loop, header.phis(), sorted(paths))
+    paths.sort()
+    execution = _PathExecution(function, loop, header.phis(), paths)
+    summary.paths = tuple(
+        LoopPath._deferred(path, execution, index)
+        for index, path in enumerate(paths)
+    )
     return summary
 
 

@@ -187,6 +187,7 @@ METRIC_NAMES = frozenset(
         "ranges.fixpoint.narrowed",
         "invariants.loops",
         "invariants.paths",
+        "invariants.truncated",
         "invariants.pruned_paths",
         "invariants.equalities",
         "invariants.affine_loops",

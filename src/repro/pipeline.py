@@ -324,11 +324,15 @@ def _degraded_from_named(
     return program
 
 
-def _run_scalar_passes(ssa: Function) -> DominatorTree:
+def _run_scalar_passes(ssa_info: SSAInfo) -> None:
     """The optimize phase body (raises; isolation is the caller's job).
 
-    None of the passes edits the CFG, so one dominator tree serves GVN in
-    every round and is returned for loop detection.
+    Optimizes ``ssa_info.function`` in place.  None of the passes edits
+    the CFG, so the dominator tree SSA construction built
+    (``ssa_info.domtree``; construction only deleted unreachable blocks,
+    which the tree never held) serves GVN in every round and loop
+    detection after.  The closing verifier builds its own tree: it does
+    not trust the pass it checks.
     """
     from repro.ir.verify import verify_function
     from repro.scalar.copyprop import propagate_copies
@@ -336,22 +340,21 @@ def _run_scalar_passes(ssa: Function) -> DominatorTree:
     from repro.scalar.sccp import run_sccp
     from repro.scalar.simplify import simplify_instructions
 
+    ssa = ssa_info.function
     with _trace.span("pipeline.optimize"):
-        domtree = dominator_tree(ssa)
         for _ in range(3):
             _budget.check_request_deadline("optimize")
             run_sccp(ssa)
             sanitizer.checkpoint(ssa, "sccp")
             changed = simplify_instructions(ssa)
             sanitizer.checkpoint(ssa, "simplify")
-            changed += run_gvn(ssa, domtree)
+            changed += run_gvn(ssa, ssa_info.domtree)
             sanitizer.checkpoint(ssa, "gvn")
             changed += propagate_copies(ssa)
             sanitizer.checkpoint(ssa, "copyprop")
             if not changed:
                 break
     verify_function(ssa, ssa=True)
-    return domtree
 
 
 def _analyze_function(
@@ -368,18 +371,18 @@ def _analyze_function(
     cache_before = _expr_cache_totals() if _metrics.active() is not None else None
 
     try:
+        # a front end that overran the whole-analysis deadline degrades
+        # here, before SSA construction starts
+        _budget.check_request_deadline("ssa.construct")
         ssa = clone_function(named)
         ssa_info = construct_ssa(ssa)
     except Exception as error:  # noqa: BLE001 - whole-function boundary
         _isolation.absorb(error, "ssa.construct", diag_code="RES505")
         return _degraded_from_named(named, source, log)
     sanitizer.checkpoint(ssa, "construct-ssa")
-    # the optimize phase's dominator tree, reused for loop detection; it
-    # is dropped together with any SSA a failed phase left behind
-    domtree: Optional[DominatorTree] = None
     if optimize:
         try:
-            domtree = _run_scalar_passes(ssa)
+            _run_scalar_passes(ssa_info)
         except Exception as error:  # noqa: BLE001 - phase boundary
             _isolation.absorb(
                 error, "pipeline.optimize", action="skipped", diag_code="RES502"
@@ -394,9 +397,10 @@ def _analyze_function(
                     rebuild_error, "ssa.construct", diag_code="RES505"
                 )
                 return _degraded_from_named(named, source, log)
+    # every path above leaves ``ssa_info`` describing ``ssa``: its tree
+    # serves loop detection and classification
+    domtree = ssa_info.domtree
     try:
-        if domtree is None:
-            domtree = dominator_tree(ssa)
         nest = find_loops(ssa, domtree)
     except Exception as error:  # noqa: BLE001 - whole-function boundary
         _isolation.absorb(error, "analysis.loops", diag_code="RES505")

@@ -53,9 +53,10 @@ class AnalysisBudget:
     * ``max_unroll_trips`` -- trip count beyond which unroll/peel
       transforms refuse to expand the IR;
     * ``request_deadline_s`` -- wall-clock seconds the *whole* analysis
-      may run; checked at phase boundaries, between scalar-pass rounds
-      and before each loop's classification, so overrun degrades the
-      remaining work rather than the finished work.
+      may run; checked at phase boundaries (the first before SSA
+      construction), between scalar-pass rounds and before each loop's
+      classification, so overrun degrades the remaining work rather
+      than the finished work.
     """
 
     max_expr_terms: Optional[int] = None
@@ -155,9 +156,10 @@ def unroll_cap(requested: int) -> int:
 def check_request_deadline(phase: str) -> None:
     """Raise when the whole analysis ran past ``request_deadline_s``.
 
-    Called at phase boundaries, between scalar-pass rounds and before
-    each loop's classification, so an over-budget analysis degrades its
-    *remaining* work -- the finished work stands.  Under ``repro
+    Called at phase boundaries (the first before SSA construction, so
+    an overrunning front end degrades there), between scalar-pass rounds
+    and before each loop's classification, so an over-budget analysis
+    degrades its *remaining* work -- the finished work stands.  Under ``repro
     serve`` this check does not bind a request's ``deadline_s``: the
     pool's hung-worker kill uses the same number and starts its clock
     first, so it kills the worker (``request-timeout``) before the

@@ -90,7 +90,8 @@ class FaultPlan:
     ``points`` restricts which named points may trip (``None`` = all).
     With a ``seed``, the k-th invocation of a point in the current scope
     trips iff :func:`_draw` of (seed, point, scope, k) is below ``rate``;
-    without one, every eligible invocation trips.  ``only_first`` trips
+    without one, every eligible invocation trips, so a ``rate`` below 1
+    needs a ``seed`` (``ValueError`` otherwise).  ``only_first`` trips
     just the first eligible invocation per point.
     """
 
@@ -110,6 +111,8 @@ class FaultPlan:
                 raise ValueError(f"unknown fault points: {sorted(unknown)}")
         if not 0.0 <= rate <= 1.0:
             raise ValueError("rate must be within [0, 1]")
+        if seed is None and rate < 1.0:
+            raise ValueError(f"rate {rate} below 1 needs a seed")
         self.seed = seed
         self.rate = rate
         self.only_first = only_first

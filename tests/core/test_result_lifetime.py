@@ -46,6 +46,8 @@ def _cases():
         cases[f"deep_chain:{n}"] = deep_chain_loop(n)
     for seed in (1, 2, 3):
         cases[f"mixed_class:{seed}"] = mixed_class_loop(seed, 24)
+    # over MAX_PATHS: the path summary's execution stays deferred
+    cases["mixed_class:truncated"] = mixed_class_loop(1, 48)
     for kind in ("periodic", "monotonic", "wraparound", "linear"):
         cases[f"dependence:{kind}"] = dependence_workload(kind)
     return cases

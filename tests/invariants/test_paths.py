@@ -273,6 +273,8 @@ class TestWorkBound:
 
         monkeypatch.setattr(paths_module, "_symbolic", counting)
         summary = enumerate_paths(program.ssa, loop)
+        for path in summary.paths:  # execution is deferred to the reads
+            path.updates
         return program.ssa, loop, summary, len(calls)
 
     @staticmethod
@@ -305,3 +307,116 @@ class TestWorkBound:
         )
         assert calls <= bound
         assert bound < per_path  # the bound does tell the two apart
+
+
+#: 5 diamonds = 32 paths > MAX_PATHS, with products among the updates
+AB_DIAMONDS = "a = 1\nb = 1\nL1: for i = 1 to n do\n" + "\n".join(
+    f"  if A[i + {k}] > 0 then\n    a = a + {k + 1}\n  else\n"
+    f"    b = b * a\n  endif"
+    for k in range(5)
+) + "\nendfor"
+
+
+class TestDeferredExecution:
+    """Paths execute on the first read of an update map, all at once."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        real = paths_module._symbolic
+
+        def counted(inst, state):
+            calls.append(inst.result)
+            return real(inst, state)
+
+        monkeypatch.setattr(paths_module, "_symbolic", counted)
+        return calls
+
+    def test_truncated_loop_executes_only_when_read(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        program = analyze(AB_DIAMONDS, ranges=True, invariants=True)
+        summary = program.result.invariants.path_summary_of("L1")
+        # everything analyze() and the run-log record read stays cheap
+        assert summary.truncated and len(summary.paths) == MAX_PATHS
+        assert not summary.complete and not summary.affine
+        assert summary.notes() == [
+            f"{MAX_PATHS} path(s)",
+            f"truncated at {MAX_PATHS}",
+        ]
+        assert all(len(path.blocks) > 1 for path in summary.paths)
+        assert calls == []
+
+        lines = [path.describe() for path in summary.paths]
+        executed = len(calls)
+        assert executed > 0
+        assert [path.describe() for path in summary.paths] == lines
+        assert len(calls) == executed  # one execution served every path
+
+        loop = program.result.loops["L1"].loop
+        eager = paths_module._execute_paths(
+            program.ssa,
+            loop,
+            program.ssa.block("L1").phis(),
+            [path.blocks for path in summary.paths],
+        )
+        assert [path.describe() for path in eager] == lines
+        assert summary.paths == eager
+
+    def test_complete_loop_executes_during_analysis(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        program = analyze(TWO_PATH, invariants=True)
+        summary = program.result.invariants.path_summary_of("L1")
+        assert summary.complete and summary.affine
+        assert calls  # invariant generation read every update
+        assert program.result.invariants.invariants_of("L1")
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda path: path.updates,
+            lambda path: path.update_of("s.2"),
+            lambda path: path.affine,
+            lambda path: path.describe(),
+            repr,
+            hash,
+        ],
+        ids=["updates", "update_of", "affine", "describe", "repr", "hash"],
+    )
+    def test_every_update_read_executes(self, monkeypatch, read):
+        program = analyze(FIVE_DIAMONDS)
+        calls = self.counting(monkeypatch)
+        summary = enumerate_paths(program.ssa, program.result.loops["L1"].loop)
+        assert calls == []
+        read(summary.paths[-1])
+        assert calls
+
+    def test_tight_term_budget_no_longer_degrades_the_phase(self):
+        """Finer-grained degradation: only claimed-on work is budgeted.
+
+        Executing a truncated loop's 16 paths builds products of more
+        than three terms.  When enumeration executed them, a three-term
+        cap degraded the whole invariants phase over updates no claim
+        rests on; now they execute when the report reads them, after
+        the analysis and outside its budget.
+        """
+        from repro.report import format_report
+        from repro.resilience.budget import AnalysisBudget, budgeted
+        from repro.resilience.errors import BudgetExceeded
+
+        program = analyze(
+            AB_DIAMONDS,
+            ranges=True,
+            invariants=True,
+            budget=AnalysisBudget(max_expr_terms=3),
+        )
+        assert not program.degraded
+        info = program.result.invariants
+        assert not info.degraded and info.path_summary_of("L1").truncated
+        report = format_report(program)
+        assert report.count("    path [") == MAX_PATHS
+
+        # the same execution inside the budget is what used to degrade
+        summary = enumerate_paths(program.ssa, program.result.loops["L1"].loop)
+        with budgeted(AnalysisBudget(max_expr_terms=3)):
+            with pytest.raises(BudgetExceeded):
+                summary.paths[0].updates

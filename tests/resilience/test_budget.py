@@ -141,6 +141,36 @@ class TestDeadlines:
                    if r.code.startswith("budget-"))
 
 
+    def test_front_end_overrun_degrades_before_ssa_construction(
+        self, monkeypatch
+    ):
+        from types import SimpleNamespace
+
+        from repro import pipeline
+
+        now = [0.0]
+        monkeypatch.setattr(
+            budget_mod, "time", SimpleNamespace(monotonic=lambda: now[0])
+        )
+        real_lower = pipeline.lower_program
+
+        def slow_lower(*args, **kwargs):
+            now[0] += 1.0  # the front end takes twice the deadline
+            return real_lower(*args, **kwargs)
+
+        constructed = []
+        monkeypatch.setattr(pipeline, "lower_program", slow_lower)
+        monkeypatch.setattr(pipeline, "construct_ssa", constructed.append)
+        program = analyze(
+            POLY_SRC, budget=AnalysisBudget(request_deadline_s=0.5)
+        )
+        assert constructed == []
+        assert [
+            (r.phase, r.code, r.diag_code) for r in program.degradations
+        ] == [("ssa.construct", "budget-request-deadline", "RES503")]
+        assert not program.result.loops
+
+
 class TestClosedFormBudget:
     def test_matrix_cap_degrades_polynomial_to_monotonic(self):
         from repro.obs.metrics import MetricsRegistry, collecting

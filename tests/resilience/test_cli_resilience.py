@@ -33,6 +33,12 @@ class TestInjectFlag:
         assert main([program, "--inject", "no.such"]) == 2
         assert "unknown fault point" in capsys.readouterr().err
 
+    def test_serve_rate_without_seed_is_a_usage_error(self, capsys):
+        # rejected before any server or worker starts
+        argv = ["serve", "--inject", "serve.worker", "--inject-rate", "0.5"]
+        assert main(argv) == 2
+        assert "needs a seed" in capsys.readouterr().err
+
     def test_injection_degrades_and_reports(self, tmp_path, capsys):
         program = write_program(tmp_path)
         assert main([program, "--inject", "classify.loop"]) == 0

@@ -58,6 +58,11 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="rate"):
             FaultPlan(rate=1.5)
 
+    def test_rate_below_one_needs_a_seed(self):
+        # without a seed every hit trips, so the rate would be ignored
+        with pytest.raises(ValueError, match="needs a seed"):
+            FaultPlan(points={"serve.worker"}, rate=0.5)
+
     def test_point_filter(self):
         plan = FaultPlan(points={"classify.loop"})
         assert not plan.should_trip("scalar.gvn")
