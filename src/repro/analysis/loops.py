@@ -44,9 +44,6 @@ class Loop:
     def contains_block(self, label: str) -> bool:
         return label in self.body
 
-    def contains_loop(self, other: "Loop") -> bool:
-        return other is not self and other.body <= self.body
-
     def exit_edges(self, function: Function) -> List[Tuple[str, str]]:
         """Edges ``(from_block, to_block)`` leaving the loop."""
         out = []
@@ -146,15 +143,17 @@ def find_loops(function: Function, domtree: Optional[DominatorTree] = None) -> L
         loop.latches = sorted(latches_by_header[header])
         loops.append(loop)
 
-    # nesting: smallest containing loop is the parent
+    # nesting: the parent is the smallest containing loop.  Natural loops
+    # with distinct headers are disjoint or nested, so it is the smallest
+    # other loop holding the header: visiting loops largest first, the
+    # last loop to claim the header before this one is that loop.
+    innermost: Dict[str, Loop] = {}
+    for loop in sorted(loops, key=lambda loop: -len(loop.body)):
+        loop.parent = innermost.get(loop.header)
+        for label in loop.body:
+            innermost[label] = loop
     for inner in loops:
-        best: Optional[Loop] = None
-        for outer in loops:
-            if outer.contains_loop(inner):
-                if best is None or len(outer.body) < len(best.body):
-                    best = outer
-        inner.parent = best
-        if best is not None:
-            best.children.append(inner)
+        if inner.parent is not None:
+            inner.parent.children.append(inner)
 
     return LoopNest(loops)

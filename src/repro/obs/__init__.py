@@ -175,6 +175,7 @@ METRIC_NAMES = frozenset(
         "closedform.matrix_inversions",
         "closedform.degraded",
         "sanitizer.checkpoints",
+        "scalar.rounds",
         "dependence.pairs",
         "resilience.degraded.",  # family: one counter per degraded phase
         "resilience.faults.injected",

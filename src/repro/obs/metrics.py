@@ -21,6 +21,8 @@ name catalogue):
 * ``closedform.matrix_inversions`` -- coefficient-matrix inversions of the
   paper's fitting method;
 * ``sanitizer.checkpoints`` -- pipeline-sanitizer checkpoints executed;
+* ``scalar.rounds`` -- rounds of the scalar phase (at most three per
+  function);
 * ``time.<span>_s`` -- one histogram per span name, fed by the tracer.
 """
 

@@ -156,10 +156,11 @@ def unroll_cap(requested: int) -> int:
 def check_request_deadline(phase: str) -> None:
     """Raise when the whole analysis ran past ``request_deadline_s``.
 
-    Called at phase boundaries (the first before SSA construction, so
-    an overrunning front end degrades there), between scalar-pass rounds
-    and before each loop's classification, so an over-budget analysis
-    degrades its *remaining* work -- the finished work stands.  Under ``repro
+    Called at phase boundaries (after parsing, after lowering and
+    before SSA construction, so an overrunning front end degrades at
+    the next of them), between scalar-pass rounds and before each
+    loop's classification, so an over-budget analysis degrades its
+    *remaining* work -- the finished work stands.  Under ``repro
     serve`` this check does not bind a request's ``deadline_s``: the
     pool's hung-worker kill uses the same number and starts its clock
     first, so it kills the worker (``request-timeout``) before the

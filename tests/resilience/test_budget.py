@@ -141,9 +141,13 @@ class TestDeadlines:
                    if r.code.startswith("budget-"))
 
 
-    def test_front_end_overrun_degrades_before_ssa_construction(
-        self, monkeypatch
-    ):
+    @staticmethod
+    def _overrun_in(monkeypatch, stage):
+        """Analyze with ``stage`` taking twice the deadline on a fake clock.
+
+        Returns ``(program, called)``: ``called`` lists the later front-end
+        stages and SSA construction that ran.
+        """
         from types import SimpleNamespace
 
         from repro import pipeline
@@ -152,22 +156,60 @@ class TestDeadlines:
         monkeypatch.setattr(
             budget_mod, "time", SimpleNamespace(monotonic=lambda: now[0])
         )
-        real_lower = pipeline.lower_program
+        called = []
+        stages = ("parse_program", "lower_program", "simplify_loops")
 
-        def slow_lower(*args, **kwargs):
-            now[0] += 1.0  # the front end takes twice the deadline
-            return real_lower(*args, **kwargs)
+        def wrap(name, real):
+            def stage_fn(*args, **kwargs):
+                called.append(name)
+                if name == stage:
+                    now[0] += 1.0
+                return real(*args, **kwargs)
 
-        constructed = []
-        monkeypatch.setattr(pipeline, "lower_program", slow_lower)
-        monkeypatch.setattr(pipeline, "construct_ssa", constructed.append)
+            return stage_fn
+
+        for name in stages:
+            monkeypatch.setattr(pipeline, name, wrap(name, getattr(pipeline, name)))
+        monkeypatch.setattr(
+            pipeline, "construct_ssa", lambda ssa: called.append("construct_ssa")
+        )
         program = analyze(
             POLY_SRC, budget=AnalysisBudget(request_deadline_s=0.5)
         )
-        assert constructed == []
-        assert [
-            (r.phase, r.code, r.diag_code) for r in program.degradations
-        ] == [("ssa.construct", "budget-request-deadline", "RES503")]
+        return program, called[called.index(stage) + 1:]
+
+    @staticmethod
+    def _deadline_records(program):
+        return [(r.phase, r.code, r.diag_code) for r in program.degradations]
+
+    def test_parse_overrun_degrades_the_whole_program(self, monkeypatch):
+        program, later = self._overrun_in(monkeypatch, "parse_program")
+        assert later == []
+        assert self._deadline_records(program) == [
+            ("frontend.lower", "budget-request-deadline", "RES503")
+        ]
+        assert list(program.named_ir.blocks) == ["entry"]
+
+    def test_front_end_overrun_degrades_before_ssa_construction(
+        self, monkeypatch
+    ):
+        program, later = self._overrun_in(monkeypatch, "lower_program")
+        assert later == []
+        assert self._deadline_records(program) == [
+            ("analysis.loop-simplify", "budget-request-deadline", "RES503")
+        ]
+        assert not program.result.loops
+        # the lowered IR is kept, as it was lowered
+        assert len(program.named_ir.blocks) > 1
+
+    def test_loop_simplify_overrun_degrades_before_ssa_construction(
+        self, monkeypatch
+    ):
+        program, later = self._overrun_in(monkeypatch, "simplify_loops")
+        assert later == []
+        assert self._deadline_records(program) == [
+            ("ssa.construct", "budget-request-deadline", "RES503")
+        ]
         assert not program.result.loops
 
 
