@@ -141,7 +141,7 @@ def digest(case):
 
 GOLDEN = {
     "chain:1:p0.0": "d00de78ebfba776e44b6391db73fca75e1bc427fc8f2c42ec62d8410333ddb8e",
-    "chain:1:p0.1": "0a6c079c076abb20135e77d0cb7367a7531b3f3630939b603323ca1f38df892d",
+    "chain:1:p0.1": "0c80cf5aa2dc5d5d5f34665b028ec91681b20f7123505ff4a77b9581015bf50a",
     "chain:1:p0.10": "1bb048636366437168f477c2497caf8cc3b59110154c63dc76ac50d21d413b04",
     "chain:1:p0.11": "bd0c578de5ef21042d37db6d6ea274fa2da63b3dd321c445a5b1174f8f190689",
     "chain:1:p0.12": "2e0b440ce8117fbdc85c6997956a3c9471d78a93b13060c3543d3309626f5636",
@@ -166,7 +166,7 @@ GOLDEN = {
     "chain:1:p0.8": "98ee163fd7e8b71a9b7a1b20dcdb6871611acacfd724a209c018688008ee1aac",
     "chain:1:p0.9": "f565fe7eecdeb7149e592c3dcd8335b433385370ee20060d25421fe639601cca",
     "chain:2:p0.0": "ba5db106a6148b8461211572b33f9af002f6a3b5025686727a13ac2beaf7e61f",
-    "chain:2:p0.1": "911c1a140f19e68a2b384d51fc928e9338860237b5d31abe80733d9310f6a7be",
+    "chain:2:p0.1": "a82ab134839487c40dd78dea5c9a7a0cb2da36261dca0a79dc4bb2d25a28f2d0",
     "chain:2:p0.10": "a1a6c2183ab16edb8b6ffbf1e238a37de8ac62e259c2a8c9e1c49d005f440c05",
     "chain:2:p0.11": "4717177aa9188de2c52f60589f1d7f6528149df34fdef21a09a3173eb965e80b",
     "chain:2:p0.12": "ed13a67c885ba9daab231b4448628ccf820b112e0e37a9285cead6ee472986cc",
@@ -181,7 +181,7 @@ GOLDEN = {
     "chain:2:p0.20": "5bb368274bd8fed55dba5f6deae4900681004475945e2a3226e55275207ca7df",
     "chain:2:p0.21": "270da828ef06c2379da3fbb9a73f30f36fc5b55353bd5969d7f2801bdb1bf52a",
     "chain:2:p0.22": "19e64a1421f6a5c14cda0651fc66b1294f9c3f69e663738ecf745c595e71b88a",
-    "chain:2:p0.23": "d7da92c022fc09c2eeaa5dc87b59ad9c518984978ac67cb83c263883765f04af",
+    "chain:2:p0.23": "ff2d17f48b70dc3c3d4f2478df5ef40079a172b35a1cf89f820d8be539b7b0eb",
     "chain:2:p0.24": "0f179d2302559dd388c0bc2d87e545dde4a7354a0288ffbdf50ece1d449668cd",
     "chain:2:p0.3": "c0b4b3ee6ccaf1c66facf29f6d6ff6ffd5aa48677c400ad1d963febd5b0e5634",
     "chain:2:p0.4": "c4e00bd72e3f4d28ed53a9d19692f4815f7d33bfac301f2ea8feeb81558d5bb2",
@@ -217,81 +217,81 @@ GOLDEN = {
     "chain:3:p0.9": "b1f60f250a0a1502e8a3505df6ff1374521d1a95c55c48656717f26c9dd3f92e",
     "example:branchy_counters.loop": "4e3162058cdf3be4bff30486e43ae717378d7ca2fa114bc698fcda98567d10ee",
     "example:wolfe_figures.loop": "321331330baa6b5900d581cd1c8edc911cb8ecf074e3a6642da1909e4bbbe559",
-    "mixed:1:p0.0": "d141640dd9ed924ecd2a301cdd41dae3c7f94c8d5f9109f93f253c60c4d3ff2f",
-    "mixed:1:p0.1": "c29d5aad3a7b1dcd35f9f3564322b29a667958be22168a5e3698e5c5b2148d81",
-    "mixed:1:p0.10": "3feb8f51278deaf530794f154f6d01eb6fbe906022240e87e2f81fbff52a82c1",
-    "mixed:1:p0.11": "205a0621e8c56cda3377625f84598fdc5e54069ec8f60a710d58f74cd9d1eee8",
-    "mixed:1:p0.12": "d5a3095d116ea29adb83dd05a767c9816f87534e472f929d774e374b6b369f46",
-    "mixed:1:p0.13": "aa66a668a4138be93afe0ac4be1b934c16f380e3796b1679e965163301d79451",
-    "mixed:1:p0.14": "047bbac40dc4f2a7532a38f673cfe9b50d99dfe20adda9d79202a0524464d836",
-    "mixed:1:p0.15": "3e4ff43c9dee6441d108e34531eebb7fde581943aa4058bc3f9cb4208f8e985e",
-    "mixed:1:p0.16": "a56ca58170ba1a030e80b75cf837bf11756d66d62e3a91e24161203349b4df47",
-    "mixed:1:p0.17": "d2c7514877a42413abf7dbde635f8861c8cc95d2e3180dd59fb3407ca9ada21f",
-    "mixed:1:p0.18": "cda167fb42c74dcb55d383d5122923917b41ef02c7be7c0554964167c1ee38a8",
-    "mixed:1:p0.19": "6fa2bfc48bde28fdf4f6b5e7cb561c9510e6c51d6093190d7f1673bbded79f47",
-    "mixed:1:p0.2": "261b71f9c4f8af652c97599c46a58dda43ebb3d55d484dc58924550194d9013e",
-    "mixed:1:p0.20": "5075453e3ed3682008b3fb724e20c37c7da7b678414c4cd2c1cfa8b24d4f3614",
-    "mixed:1:p0.21": "31bc6b33e2c03d5205197081aa889d7fde97a3f977d48c903f56e18bc2ffd13f",
-    "mixed:1:p0.22": "46188561806b842498a5bc986635175302ebe0f78f8a0e8406c3ea64962d3499",
-    "mixed:1:p0.23": "dbcc2abfa8b1f1a73b3c9e5659d7576945173ac139b07b606cd28c58c25640ec",
-    "mixed:1:p0.24": "8d2bc06bf9d385ec71a2957811cb7c3b3d01af939c161f876dd7ed5c6c5933e9",
-    "mixed:1:p0.3": "672eafc308904f43bdeca9755d86e93ed96057fe25c94e73f8a70f7e4f38c0b5",
-    "mixed:1:p0.4": "61717a9a96653b041915bbe54615fa26ff7d87da444cc577f2b101cb31a69c0f",
-    "mixed:1:p0.5": "c852af66a5f231794e22c75660aa9249f99da3086ea63fa9770b61a9efe38baa",
-    "mixed:1:p0.6": "34ac46740572171a4f0e637888e8445370a4fc76c8666e38a9dc5f6c86d3366d",
-    "mixed:1:p0.7": "e9bab9bf2049b39dac46c2d9b0fa9650844846dca8c4066717412a7be45f8ed6",
-    "mixed:1:p0.8": "0dd4b9dd81164ecbddfbc4c0b58bebdc518637056af3e4e7fe3bd20cfb3601f5",
-    "mixed:1:p0.9": "e4d5e986f51d239488719d0c4f4d524e186fb5731eff4419b8a6990076f2bd33",
-    "mixed:2:p0.0": "ccd57f13d47a33c6b5c15b458e36889cef2319e4e02cf09285feef6424c570c8",
-    "mixed:2:p0.1": "fe27b9393ef152f4fdca9b2c8c8daaa612b3208d5a3099833d41e627889ef8be",
-    "mixed:2:p0.10": "1cd767b9607caa1860c56ba6118676cf382f94b820d0b806015c4c8750b7b25b",
-    "mixed:2:p0.11": "b19cb8b6f3baab9a282b0207707e725a3d1ee5cc0c75be109bc46d9dbd7ab786",
-    "mixed:2:p0.12": "15ed0ffc593b05ca56d8239c7e7461fc1c7ed608fc7f9f42a0fa8384ec3e7c59",
-    "mixed:2:p0.13": "1d5b3a8cfa7d95a9099e36f0b87e2047995acd01fb0ea4803907a04c7451020c",
-    "mixed:2:p0.14": "79a38d37d51b73952ca4208f999c1fabf2143af03b0498bd0582685e993a2ea2",
-    "mixed:2:p0.15": "e1e8a3bfd3022716d2d188043ee5ba14694502e7e7bf3108f7113915d6878c0f",
-    "mixed:2:p0.16": "7da6a6bf51756be69253bec9626f1db50936bd757cf589ccf8c0284c786a17b6",
-    "mixed:2:p0.17": "1c091ea14ad776899c6f41a1d01cf004cf08aa0a731c8027ddeaed8e48876c7b",
-    "mixed:2:p0.18": "0377025ea55d4f82ea9a4b56abbe5627f011c5f8b53b5ac6efae214e1f0c0801",
-    "mixed:2:p0.19": "8b37b33612a9e435b0ff2cb0711fdfa463e0c5dd337e7b279824864ffdf4eae4",
-    "mixed:2:p0.2": "f5a89d244971373fcc0422a95905ce1f027c6ce51a50568329ffd727b79e258f",
-    "mixed:2:p0.20": "d80e351fc2b26ee9162e0acf1f0cc96c52134fbee6722d29ec80573c8618514b",
-    "mixed:2:p0.21": "020b3eaaf7b12bd6e4b155192e3dabb3b150d5a3359a75ed0a793fded8162ff1",
-    "mixed:2:p0.22": "c974e1f261d70c1414752ad5f84b84bebc98505d4ae273b7dfd0f55b01436546",
-    "mixed:2:p0.23": "31927a7c97413498cde9753f4315f981513c458e9b8e1cb959ae1756ad6143da",
-    "mixed:2:p0.24": "b1e5ff2369ba47959cc57cec159b436a0b66e17993220dc2c0903d76a558efc4",
-    "mixed:2:p0.3": "74914db6f02c7122ceb508159d763a612e4d932aa846e60f5e2dfda44629be04",
-    "mixed:2:p0.4": "deefd23b4da08ea677555a87a7eb32ea00aed869fe5ee9b4a0e5c20e8ba9f93f",
-    "mixed:2:p0.5": "18e62553f0ae7d0dd33253b52cdc45dea5afbaf8c361eaabcde729150d07ae86",
-    "mixed:2:p0.6": "15683a255eea413ef95930d2a8b51e5be1c650469442efed19d0f568b5b18b38",
-    "mixed:2:p0.7": "e2e45d9bb80df1929a2d08fb8d8101c5a586b9311da287d6a83919a84c17e2ef",
-    "mixed:2:p0.8": "f8b78cbfd8dd5ef06de9fe19b121d33b0b12ae316d7866d1d36b66b36f0c6cb8",
-    "mixed:2:p0.9": "d0d8e58c54182c82ef5907481666b865f9ada986ef8ce757f2c001828a478907",
-    "mixed:3:p0.0": "a1e7faabaa8d6e6bc075081b1b4ee0588344518eafb1346f6aa76ab3b94fa53a",
-    "mixed:3:p0.1": "b7687192bea0e90ae4146b5466c9da6208e60b35de8f4e216842fa6d10bbe3ec",
-    "mixed:3:p0.10": "6e30f7dc8db637abaeaa50549f955bff939628b458309d3cb02db3782a1f71a6",
-    "mixed:3:p0.11": "13b4902629d75379cba8af99a3d83c93126444fd5af09311691ab20ff42e34a4",
-    "mixed:3:p0.12": "4f499004a2254b4a40ebec7a983d82cbcfc2ecd15eff9a7bee10b8d22bfcf357",
-    "mixed:3:p0.13": "4322bf3013e2d0f26eb95e47d6a2dc5737c851b2dbca5e40181da59df2c8a519",
-    "mixed:3:p0.14": "c143d3bd2adcd5832ddb382e8e566dee8e75fa124f380b2bb440544a82fc8764",
-    "mixed:3:p0.15": "1f2575b80b8f0f350db021a39771021f7c48169df02932d96ea9e1d2b85bead9",
-    "mixed:3:p0.16": "5cf9c746e7fbe5fde7203a95522931080211ee9bdfbd7ceea913fcf914493b0c",
-    "mixed:3:p0.17": "7fb609d66d28640acc0f2894dd28b9a1fca2591aae6a96218d639a63b83c9517",
-    "mixed:3:p0.18": "394bc72c1358a1a76bc4fe01656758358441f56a54f51d2c6e6311fab9f1a6f5",
-    "mixed:3:p0.19": "e1121e81f049538760c3f2a7909f95e6753f9695238652c79ab544225dfc214b",
-    "mixed:3:p0.2": "c025121bc6149fdc1fd22669ba9c336b6caefc262a64ed1a1261ee0316543ff2",
-    "mixed:3:p0.20": "fcc7ded919220a4700b550818aaf576210ff513023f425ff9d54937730be6ed5",
-    "mixed:3:p0.21": "2a2d266b7fc9823250bd5c6ddbf6847b6d665393a3b1f81bac78688bb16438d1",
-    "mixed:3:p0.22": "abb7f49d4dd2940ea9d05e3fc2ad32714ab64b42b76c5a091fdb6956d02e1ef2",
-    "mixed:3:p0.23": "4427459dcd2bf5cb9685e67b794840e67a0bfade24af7397860540bed05e78f9",
-    "mixed:3:p0.24": "2f70a37195a93d2b57af4d04c0b2b1e55ab4c3d3d61f0c2c1c3b9f55ace0b446",
-    "mixed:3:p0.3": "8a03cc187a9eaf08d4bf5ee2c54c6ef5beb3dd268a1f39b96291f731dad5123e",
-    "mixed:3:p0.4": "3502d4808d320e9382f9313e5b6701dd76e4f4ba32260fcc6541406b7f1ca394",
-    "mixed:3:p0.5": "79d8f6a1811f77d6b83871acc1a2ba7b6751e75efeb86afe8d0e53854dbe3e99",
-    "mixed:3:p0.6": "6ce01fb5f182d6f32c4c17a900b25421f23691353c955625471ad4141d034837",
-    "mixed:3:p0.7": "d0e1103898d71d42f521896d6d1bddff64e3ada28333acca1971da67a992b563",
-    "mixed:3:p0.8": "56fb81c2e2ac11e2602fce7d62009359a1f2593492b5ded9a75902faf702e4af",
-    "mixed:3:p0.9": "c2e5bc08ed09bc1b2ef6cba6b792cf17a5340713a6bbb91be7127ef42bf394ef",
+    "mixed:1:p0.0": "26191e9ac749957bbb1b28c925edd3012f33faa1fba2f05db08e9b8f97146fb0",
+    "mixed:1:p0.1": "908631c6169b31d5b524405542ef1f16d03584e280393f4445cf3a53b4102a00",
+    "mixed:1:p0.10": "ff13c30e62f32aef068acbeefa32a54b375bde803ba027113d17668a2a0315dc",
+    "mixed:1:p0.11": "3f6df109a757f252ed0a0580f76619a90595d2a6419fe7acafb5ac102c041275",
+    "mixed:1:p0.12": "d2e9751957592eaf7d3d62de94dcc6ba53292f9f343ab609f031123fb8da69b4",
+    "mixed:1:p0.13": "399677a218e66fe71a3682d697450d52ad9eda9041295baf18ca4b72b002801a",
+    "mixed:1:p0.14": "77f65bacfc59a36b4c995e09febc43ab51c407b5b5b8fd42dbb56244d2f81e96",
+    "mixed:1:p0.15": "04eb7839c2883ee1a30e744f58ad94c44dd2e6e7a26924cb3ebe2e4385616e60",
+    "mixed:1:p0.16": "53f8d6ca59c33ddf2a4824a8b1d22210d1f91ddc2e4a51df60541f92e507a272",
+    "mixed:1:p0.17": "05873fec15b102556d9fb2dc3d7482a7b136ce5676644b6de91d29df6926cc04",
+    "mixed:1:p0.18": "f7f53c2c30174ee6b3139efa76ab3010e24290e2a5fedc779cd0d6aeac8387be",
+    "mixed:1:p0.19": "7a05ca957124439f999df5b40e46b5e7526a63e7bba8aec7f9d76678542a4207",
+    "mixed:1:p0.2": "ab14a99b5090a919539081df0411e6e7d99bf67afabcfb20d7dbc962004cc441",
+    "mixed:1:p0.20": "70906f20326c0d4f233cb24839a86333df53eb6a54e6d06c5f4b872a2c0a869f",
+    "mixed:1:p0.21": "8a956799da8112ec21afeacff35f08870af4025b61e405e70a65e832a5bdaba9",
+    "mixed:1:p0.22": "fede0452328cf280dc44db398a271efa0916748fc1b0347a0c2337611d7533f6",
+    "mixed:1:p0.23": "85e01d5aa81bc672f0263497c6d9f6d36af2bf1835414a048722489b1f64e3c1",
+    "mixed:1:p0.24": "22597edc5ca4ab124d29804075fe972db7113ff3a6b037dc74064c7740b295d5",
+    "mixed:1:p0.3": "be293dd8e1caeac4ac39613f7a6278e90d722036a6f38f52ed6fd7d384813168",
+    "mixed:1:p0.4": "6475b6e2a5935d45ac096563c7c9b3e78a3d134f892c9b29bb241ec4066309be",
+    "mixed:1:p0.5": "03404fda993614f788fb0f30f332443d0ddda6499805b92593218857dfb05bc6",
+    "mixed:1:p0.6": "4115ff335816d999f04a9275820cadcb6aa473698a304316824144e65e61517a",
+    "mixed:1:p0.7": "503d69e5719374ada765af1cbf1b05c5676232f87f4c600d0ceef22ae6542a57",
+    "mixed:1:p0.8": "6fae4c8edd70f1907648782683fc1fc386fb645209172feb367c9a181f20c7c8",
+    "mixed:1:p0.9": "2eeb71ddd0f534cfefd2bfb0249366ddaa80ca4fb7f84e942f3c6a4986cc758d",
+    "mixed:2:p0.0": "a753251d739d65642157e8d09135e9bb9261a16ac3255acb7fc2fdafd5061746",
+    "mixed:2:p0.1": "ed43d0454a16785fb57e5a1f0180dfdecf6e09f2f7e5a410096930a80b5823a4",
+    "mixed:2:p0.10": "7b2aba1d37101b00c75b36c07dec1c34839b035dbb0cdaf81efd349cef6906ef",
+    "mixed:2:p0.11": "8e3ad343a16296981778bd1c8f07e6f81713b490016cb1ee53a572fda757f66c",
+    "mixed:2:p0.12": "036236d4ca4fad162cf670063b6257f058b04336f34f8d9efb994f2c0a6817b6",
+    "mixed:2:p0.13": "68e461435ef3052f12dcc0085bc1084156e2855c40b612edc536eeca7e6a11a3",
+    "mixed:2:p0.14": "6768a422f4b0297c789640cd00c79d146f732e507c4cc45e0f18addec51ac1d6",
+    "mixed:2:p0.15": "401b787188b3fec133afc9438de4a86e094ef92ef6f4023490652c5d97ea0e5a",
+    "mixed:2:p0.16": "5d9baee613e35c61b39e4470a61bd07de969eb5611e61434002f38b5ed443beb",
+    "mixed:2:p0.17": "8b873e43b786f3255f404a19180415e0a95da6d427af72edc3f8dcaae66a796a",
+    "mixed:2:p0.18": "2a528d75ea53cc4c06dd954981843e89582997f6051b8cb3d755a32dab52eb4f",
+    "mixed:2:p0.19": "dfde33c700fba5c46e360487e1654cc9d25f46a3890835a1774aea5043e98c26",
+    "mixed:2:p0.2": "99b1572f3f368ac4ec9a86c2a6a93b2efea3363c1d9a35db7e283667cb714aa0",
+    "mixed:2:p0.20": "9b2cae03da219146bbf353c536c9ede73a2a80a72ced8ff5cd1121f84e8225f9",
+    "mixed:2:p0.21": "c26ab13cef578c745eef39588f72707f907828ae22b26f9334495a8188ae1624",
+    "mixed:2:p0.22": "ba8bb60ca87087987ab6a19ad70c3f3a94352020f3011156f5cc494d91161e40",
+    "mixed:2:p0.23": "33f1322393d6bc0855c82929bf3c22b8f3d6763260f2fcc2b5541714ac33a930",
+    "mixed:2:p0.24": "d686191edd2573309efd1c701cf1445cc33a6299d0619c1d1a97a786386df0ed",
+    "mixed:2:p0.3": "fc8f573852e3f473bedeb6fb1c8582c4b67d3b562e0c4d8041892f3267686fcb",
+    "mixed:2:p0.4": "a19585b6c71f3495eab4d8ae17d10637ae813d362579c2301daaaca4a0d3338a",
+    "mixed:2:p0.5": "98038d570597873a0ce6a1171817cc97d480d3dbd68bf9d348c1b1a70392e325",
+    "mixed:2:p0.6": "04cdb7a0cba0384e38d3d1b721cfaf76b078f5414142464fbcc471cd71cff7f2",
+    "mixed:2:p0.7": "544c941a01453c14a9a2eeda761bfefdfe0b4fa8b3f8d972e9814b71d844baba",
+    "mixed:2:p0.8": "cfefe8f2639aa166fbaef3dcd428e706a5acf24275cd9be84c27171a853df6a0",
+    "mixed:2:p0.9": "f11447eb79b96b87244c3a9b2764caa4abeef73ec06093e95ace18b5271173cf",
+    "mixed:3:p0.0": "c15d0a6f368bfadcdbd52556a3755091deab3df8a861855695646b33b3c27583",
+    "mixed:3:p0.1": "58f968a3e1285c759d716a93d72b022a715aa2e6202b972ad8ab833319bbffb8",
+    "mixed:3:p0.10": "5dccfbe91cc904c10ad98ab8cb2462c7d1956118a4f9069d54ed75a86a743a5d",
+    "mixed:3:p0.11": "ba55d76c59b0aa6ab61c70649a05f79e93ce731d3489ec0752b7b7298e0dff2e",
+    "mixed:3:p0.12": "1db38430f51cfe77e992ea62ea8f54fe33c2329482bc0f1c7be2181b985c534d",
+    "mixed:3:p0.13": "5efb0f8e8bb026cf7600941689df4c1a12fd757e33e9422812dfe2b3f29b8845",
+    "mixed:3:p0.14": "cab2ec83e03d0b152372e8efc9dca789b08dcc51eef9a4222708f15024cb487d",
+    "mixed:3:p0.15": "8bb797ac849fbe72e72b4815674f219d4caa20a3fb81603ca167010d8f2e88ca",
+    "mixed:3:p0.16": "6ae6c697ce77faf0925a6078b08c2225c89542e3a6d0076398950389ea6ac78f",
+    "mixed:3:p0.17": "84a96725e2eaf71e9ead64aebcbdaf99f248fbe59a07a0f80284aecf14ac7bed",
+    "mixed:3:p0.18": "859d06d77ed49a62d3f463b9410b67ab9405f9b4fbaa6c7e77533882c67191a7",
+    "mixed:3:p0.19": "563919cca3d81182db0e498d96aeac18d2a04b8ffa0946e773e56e58ef776e9d",
+    "mixed:3:p0.2": "a7a631cf65b9498173b60682b4395d587f9855ea42f4590f031faa41350e173a",
+    "mixed:3:p0.20": "c802e113268692b620126ac960479895279314e6d687c74cb4136b1e4b5512a0",
+    "mixed:3:p0.21": "1566188fdf29cdd912d907b2c39e19a1471ef9e1740c19a06b8e3b140683d952",
+    "mixed:3:p0.22": "0969d3994bbc7726d506305abee993585efb17c7442ef11d6c10e60212425cf6",
+    "mixed:3:p0.23": "abfc921b3a7f4af0ac425d8ff10f7eb06ff78b7cc82dfc28ad3e25a58424571b",
+    "mixed:3:p0.24": "5bdd1c64628c72369d9ffaf83a55e131e6e299e0d7980121be589848760dfbed",
+    "mixed:3:p0.3": "8def71672aebba6c0e4d70720549acf96c274a6e36e86c1894602ef715bee3cd",
+    "mixed:3:p0.4": "0415a78a66540c429a1cd8e3426ccce08a59d014804affe3d947fa3e950b4c36",
+    "mixed:3:p0.5": "b2e33ef6bdd0699c7264c4c21b4867cdd1c2f1e4e3cb27d23178ba00fbd601c4",
+    "mixed:3:p0.6": "df3926848204ef1345d968f92ce09461fd8bfd6213a8eca9f8ad41f3bbd3f522",
+    "mixed:3:p0.7": "6386847f5765d71ad0014c04b887d394e396f74a5e05591c45c6026de2a46cdf",
+    "mixed:3:p0.8": "45d06feaf73e70fff2a61312a26b2887859155188cc1fa40d8e7ba8d1c589dc5",
+    "mixed:3:p0.9": "bb7e9c39de77f435694ebc86a0456cca9f0794e2f6d8da21aac38f4fd4eacf30",
     "py:kernels.py:count_positive": "4c4bf3c29a7785d7514304c54e382a81aa79db31de2ddac8d1bdb0cde07290e5",
     "py:kernels.py:dot": "61ff1336f03e24518b885636aa04c14c0ed58e18c11916fc9ba004f343e5b14c",
     "py:kernels.py:prefix_sum": "4ecdeea7ae5f0ed6ddc4533ebf37757d73d33e44d58184e789543fc9b2dde338",
