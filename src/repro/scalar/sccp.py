@@ -47,6 +47,8 @@ BOTTOM = "bottom"
 class SCCPResult:
     values: Dict[str, object]  # name -> TOP | int | BOTTOM
     executable_blocks: Set[str] = field(default_factory=set)
+    # (pred, label) flow edges; the entry edge is (None, entry)
+    executable_edges: Set[Tuple[Optional[str], str]] = field(default_factory=set)
 
     def constant_of(self, name: str) -> Optional[int]:
         value = self.values.get(name, BOTTOM)
@@ -193,7 +195,11 @@ def run_sccp(function: Function, apply: bool = True) -> SCCPResult:
                 if values.get(user.result) is not BOTTOM:
                     evaluate(user, block_label)
 
-    result = SCCPResult(values=values, executable_blocks=executable_blocks)
+    result = SCCPResult(
+        values=values,
+        executable_blocks=executable_blocks,
+        executable_edges=executable_edges,
+    )
     if apply:
         apply_sccp(function, result, uses_of)
     return result
