@@ -12,9 +12,8 @@ the paths themselves first class:
 * :mod:`repro.invariants.poly` -- for loops whose per-path updates are
   affine, build the update matrix of the degree-<=2 monomial basis and
   compute the polynomial equalities preserved by *every* path (the
-  linear-algebra method of de Oliveira et al., over exact
-  :class:`~fractions.Fraction` entries via
-  :meth:`repro.symbolic.rational.Matrix.nullspace`).
+  linear-algebra method of de Oliveira et al., solved exactly by
+  :func:`repro.symbolic.rational.nullspace`).
 * :mod:`repro.invariants.analysis` -- :func:`compute_invariants`, the
   driver wired behind ``analyze(..., invariants=True)``: attaches a
   :class:`PathSummary` and the invariant equalities to each

@@ -7,11 +7,13 @@ basis ``{1} u {x_i} u {x_i x_j}``: substituting the updates into a basis
 monomial yields a rational combination of basis monomials, i.e. a matrix
 ``T_p``.  A polynomial ``P = sum c_k mu_k`` is preserved by every path
 exactly when ``(T_p^T - I) c = 0`` for all ``p`` -- so the invariant
-space is the nullspace of the stacked system, computed exactly over
-:class:`~fractions.Fraction` by
-:meth:`repro.symbolic.rational.Matrix.nullspace` (the eigenvector-style
+space is the nullspace of the stacked system (the eigenvector-style
 method of de Oliveira, Breck et al., "Polynomial invariants by linear
-algebra").
+algebra").  The rows stay int-first -- ``int`` entries unless an update
+has a ``Fraction`` coefficient -- and zero and duplicate rows are
+dropped; :func:`repro.symbolic.rational.nullspace` solves the system
+exactly by fraction-free elimination over integers and returns the
+kernel as exact rationals.
 
 Example: ``i += 1; s += i`` on one path and ``i += 2; s += 2*i - 1`` on
 the other both preserve ``2*s - i^2 - i``; with ``i = s = 0`` on entry
@@ -32,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.invariants.paths import PathSummary
 from repro.symbolic.expr import Expr
-from repro.symbolic.rational import Matrix, MatrixError
+from repro.symbolic.rational import Rat, nullspace
 
 #: cap on joint variables (phis + carried invariant symbols): the basis
 #: has 1 + n + n(n+1)/2 monomials, so 5 variables = 21 columns
@@ -81,7 +83,7 @@ def generate_invariants(
     :data:`MAX_VARIABLES` yield no invariants (soundly: no claim is ever
     better than a wrong claim).
     """
-    if not summary.affine or not summary.phis:
+    if not summary.affine or not summary.phis or not summary.paths:
         return []
     if any(phi not in inits for phi in summary.phis):
         return []
@@ -102,12 +104,14 @@ def generate_invariants(
     index = {key: position for position, (key, _expr) in enumerate(basis)}
     size = len(basis)
 
-    rows: List[List[Fraction]] = []
+    # int-first rows; zero and duplicate rows are dropped, which leaves
+    # the row space, and so the kernel, unchanged
+    rows: Dict[Tuple[Rat, ...], None] = {}
     for path in summary.paths:
         mapping = {phi: update for phi, update in path.updates}
-        transform: List[List[Fraction]] = []
+        transform: List[List[Rat]] = []
         for _key, mono_expr in basis:
-            row = [Fraction(0)] * size
+            row: List[Rat] = [0] * size
             substituted = mono_expr.substitute(mapping)
             for mono, coeff in substituted.iter_terms():
                 position = index.get(mono)
@@ -117,20 +121,12 @@ def generate_invariants(
             transform.append(row)
         # invariance of c: T_p^T c = c, i.e. rows of (T_p^T - I)
         for i in range(size):
-            rows.append(
-                [
-                    transform[k][i] - (1 if k == i else 0)
-                    for k in range(size)
-                ]
-            )
+            column = [image[i] for image in transform]
+            column[i] -= 1
+            if any(column):
+                rows[tuple(column)] = None
 
-    if not rows:
-        return []
-    try:
-        kernel = Matrix(rows).nullspace()
-    except MatrixError:
-        return []
-
+    kernel = nullspace(rows, size)
     out: List[LoopInvariant] = []
     init_map = dict(inits)
     for vector in kernel:

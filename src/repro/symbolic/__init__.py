@@ -6,8 +6,9 @@ SSA names) and recovers polynomial/geometric coefficients by inverting small
 matrices with exact rational arithmetic (paper, section 4.3).  This package
 provides those two primitives:
 
-* :mod:`repro.symbolic.rational` -- exact ``Fraction`` matrices with
-  Gauss-Jordan inversion and linear solving.
+* :mod:`repro.symbolic.rational` -- exact ``Fraction`` matrices whose
+  inversion, solving, determinant and nullspace share one fraction-free
+  Gauss-Jordan core over integers.
 * :mod:`repro.symbolic.expr` -- multivariate polynomial expressions over
   named symbols with ``Fraction`` coefficients.
 * :mod:`repro.symbolic.closedform` -- the closed-form sequence domain

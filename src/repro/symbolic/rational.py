@@ -3,18 +3,20 @@
 Section 4.3 of the paper recovers the coefficients of polynomial and
 geometric induction variables by inverting a small integer matrix: "Since the
 entries of the matrix are all integer, the inverse will have only rational
-entries."  This module implements that arithmetic exactly, on top of
-:class:`fractions.Fraction`, with Gauss-Jordan elimination and partial
-pivoting (pivoting only matters for zero pivots here; there is no rounding).
-
-The matrices involved are tiny (order of the polynomial plus one or two), so
-no effort is spent on asymptotics.
+entries."  The invariant stage (:mod:`repro.invariants.poly`) solves larger
+systems of the same kind, up to 336 x 21.  Entries are
+:class:`fractions.Fraction`, but every elimination runs one fraction-free
+Gauss-Jordan core over integers (:func:`_reduce`): rows are scaled to
+primitive integer vectors and divided by their gcd after every row
+operation, which keeps the integers small.  Results become ``Fraction``
+only at the end, by dividing by the pivots, so they stay exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Union
+from math import gcd, lcm, prod
+from typing import Iterable, List, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -173,23 +175,11 @@ class Matrix:
         if not self.is_square:
             raise MatrixError("only square matrices can be inverted")
         n = self.rows
-        work = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, row in enumerate(self._data)]
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if work[r][col] != 0:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise MatrixError("matrix is singular")
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            pivot = work[col][col]
-            work[col] = [x / pivot for x in work[col]]
-            for r in range(n):
-                if r != col and work[r][col] != 0:
-                    factor = work[r][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return Matrix([row[n:] for row in work])
+        augmented = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self._data)]
+        work, pivots, _ = _reduce(augmented, n)
+        if len(pivots) < n:
+            raise MatrixError("matrix is singular")
+        return Matrix([[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(work)])
 
     def solve(self, rhs: Sequence[Rat]) -> List[Fraction]:
         """Solve ``A x = rhs`` for square ``A`` by elimination."""
@@ -198,86 +188,93 @@ class Matrix:
         if len(rhs) != self.rows:
             raise MatrixError("right-hand side has wrong length")
         n = self.rows
-        work = [list(row) + [_as_fraction(rhs[i])] for i, row in enumerate(self._data)]
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if work[r][col] != 0:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise MatrixError("matrix is singular")
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            pivot = work[col][col]
-            work[col] = [x / pivot for x in work[col]]
-            for r in range(n):
-                if r != col and work[r][col] != 0:
-                    factor = work[r][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return [work[i][n] for i in range(n)]
+        work, pivots, _ = _reduce([row + [_as_fraction(b)] for row, b in zip(self._data, rhs)], n)
+        if len(pivots) < n:
+            raise MatrixError("matrix is singular")
+        return [Fraction(row[n], row[i]) for i, row in enumerate(work)]
 
     def nullspace(self) -> List[List[Fraction]]:
-        """A basis for the right kernel ``{x : A x = 0}``.
-
-        Works for rectangular matrices: reduce to RREF, then read one basis
-        vector per free column (the standard back-substitution construction).
-        Returns an empty list when the kernel is trivial.
-        """
-        work = [list(row) for row in self._data]
-        nrows, ncols = self.rows, self.ncols
-        pivot_cols: List[int] = []
-        r = 0
-        for col in range(ncols):
-            if r >= nrows:
-                break
-            pivot_row = None
-            for i in range(r, nrows):
-                if work[i][col] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            pivot = work[r][col]
-            work[r] = [x / pivot for x in work[r]]
-            for i in range(nrows):
-                if i != r and work[i][col] != 0:
-                    factor = work[i][col]
-                    work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-            pivot_cols.append(col)
-            r += 1
-        free_cols = [c for c in range(ncols) if c not in pivot_cols]
-        basis: List[List[Fraction]] = []
-        for free in free_cols:
-            vec = [Fraction(0)] * ncols
-            vec[free] = Fraction(1)
-            for row_idx, col in enumerate(pivot_cols):
-                vec[col] = -work[row_idx][free]
-            basis.append(vec)
-        return basis
+        """A basis for the right kernel ``{x : A x = 0}`` (see :func:`nullspace`)."""
+        return nullspace(self._data, self.ncols)
 
     def determinant(self) -> Fraction:
-        """Determinant by fraction-free-ish elimination (exact anyway)."""
+        """The product of the pivots, divided by every scaling of a row."""
         if not self.is_square:
             raise MatrixError("determinant requires a square matrix")
-        n = self.rows
-        work = [list(row) for row in self._data]
-        det = Fraction(1)
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if work[r][col] != 0:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                det = -det
-            pivot = work[col][col]
-            det *= pivot
-            for r in range(col + 1, n):
-                if work[r][col] != 0:
-                    factor = work[r][col] / pivot
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return det
+        work, pivots, scalings = _reduce(self._data, self.rows)
+        if len(pivots) < self.rows:
+            return Fraction(0)
+        diagonal = prod(row[i] for i, row in enumerate(work))
+        return Fraction(diagonal * prod(d for _, d in scalings), prod(m for m, _ in scalings))
+
+
+def nullspace(rows: Iterable[Sequence[Rat]], width: int) -> List[List[Fraction]]:
+    """A basis for ``{x : A x = 0}``, where ``A`` has ``rows`` of length ``width``.
+
+    One basis vector per free column of the reduced row echelon form, in
+    column order.  The RREF depends only on the row space, so ``rows`` may
+    hold zero or duplicate rows, or none (every column is then free).
+    """
+    work, pivots, _ = _reduce(rows, width)
+    pivot_set = set(pivots)
+    basis: List[List[Fraction]] = []
+    for free in range(width):
+        if free not in pivot_set:
+            vec = [Fraction(0)] * width
+            vec[free] = Fraction(1)
+            for row, col in zip(work, pivots):
+                vec[col] = Fraction(-row[free], row[col])
+            basis.append(vec)
+    return basis
+
+
+def _reduce(
+    rows: Iterable[Sequence[Rat]], width: int
+) -> Tuple[List[List[int]], List[int], List[Tuple[int, int]]]:
+    """Fraction-free Gauss-Jordan elimination, pivoting in the first ``width`` columns.
+
+    Returns ``(work, pivots, scalings)``.  Each row of ``work`` is a row of
+    the input times a non-zero rational, in integers: row ``k`` has its
+    pivot in column ``pivots[k]`` and zeros in the other pivot columns, so
+    ``work[k]`` divided by its pivot is row ``k`` of the reduced row
+    echelon form.  Rows that are or become zero are dropped.  Every row
+    scaling and swap multiplied the determinant by ``m / d`` for one
+    ``(m, d)`` in ``scalings``.
+    """
+    scalings: List[Tuple[int, int]] = []
+    work: List[List[int]] = []
+    for row in rows:
+        # scale to a primitive integer vector
+        scale = lcm(*[x.denominator for x in row])
+        ints = [x.numerator * (scale // x.denominator) for x in row]
+        divisor = gcd(*ints)
+        if divisor:
+            work.append([x // divisor for x in ints])
+            scalings.append((scale, divisor))
+    pivots: List[int] = []
+    for col in range(width):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            scalings.append((-1, 1))
+        prow = work[r]
+        p = prow[col]
+        kept = []
+        for i, row in enumerate(work):
+            f = row[col]
+            if f and i != r:
+                # row = (p*row - f*prow) / gcd, or dropped when it is zero
+                row = [p * a - f * b for a, b in zip(row, prow)]
+                divisor = gcd(*row)
+                if not divisor:
+                    continue
+                if divisor > 1:
+                    row = [a // divisor for a in row]
+                scalings.append((p, divisor))
+            kept.append(row)
+        work[:] = kept
+        pivots.append(col)
+    return work, pivots, scalings

@@ -181,3 +181,42 @@ class TestNormalization:
             coeff for _mono, coeff in inv.poly.iter_terms() if coeff
         ]
         assert all(c.denominator == 1 for c in coeffs)
+
+    def test_rational_updates_give_the_exact_fraction_solve_invariants(self):
+        # Fraction coefficients make the rows non-integral, so the solver
+        # scales them to integers first; the invariants are the ones the
+        # Gauss-Jordan solve over Fraction gave
+        third = const(Fraction(1, 3))
+        ps = summary(
+            ("i", "j", "s"),
+            path(
+                i=sym("i") + const(Fraction(1, 2)),
+                j=sym("j") + const(Fraction(3, 2)),
+                s=sym("s") + third * sym("i") + const(Fraction(1, 12)),
+            ),
+            path(
+                i=sym("i") + third,
+                j=sym("j") + const(1),
+                s=sym("s") + const(Fraction(2, 9)) * sym("i") + const(Fraction(1, 27)),
+            ),
+            path(i=sym("i"), j=sym("j"), s=sym("s")),
+        )
+        inits = {"i": const(0), "j": sym("n"), "s": const(Fraction(1, 2))}
+        invariants = generate_invariants(ps, inits)
+        assert [(inv.describe(), inv.degree) for inv in invariants] == [
+            ("-3*i + j == n", 1),
+            ("-3*s + i^2 == -3/2", 2),
+            ("27*s - 6*i*j + j^2 == 27/2 + n^2", 2),
+        ]
+        assert all(inv.variables == ("i", "j", "s") for inv in invariants)
+        # entry with n = 4, then one trip of the first path
+        after = {"i": Fraction(1, 2), "j": Fraction(11, 2), "s": Fraction(7, 12), "n": 4}
+        for inv in invariants:
+            assert holds_on(inv, {"i": 0, "j": 4, "s": Fraction(1, 2), "n": 4})
+            assert holds_on(inv, after)
+
+    def test_identity_updates_leave_every_monomial_invariant(self):
+        # every row of the system is zero: the whole space is the kernel
+        ps = summary(("i",), path(i=sym("i")), path(i=sym("i")))
+        invariants = generate_invariants(ps, {"i": sym("a")})
+        assert [inv.describe() for inv in invariants] == ["i == a", "i^2 == a^2"]
