@@ -120,7 +120,7 @@ def _observe_workload(source: str) -> Tuple[Dict[str, float], Dict[str, int]]:
     """One traced + metered run: (seconds per span name, counter snapshot)."""
     with observing() as obs:
         analyze(source, ranges=True, invariants=True)
-    phases = {name: round(total, 9) for name, total in obs.tracer.phase_totals().items()}
+    phases = {name: round(total, 9) for name, total in obs.metrics.span_totals().items()}
     counters = obs.metrics.snapshot()["counters"]
     return phases, counters
 

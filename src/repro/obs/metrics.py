@@ -30,11 +30,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 Number = Union[int, float]
 
 __all__ = [
+    "CacheDelta",
     "Counter",
     "Gauge",
     "Histogram",
@@ -135,6 +136,14 @@ class MetricsRegistry:
         self.histogram(name).observe(value)
 
     # -- export ---------------------------------------------------------
+    def span_totals(self) -> Dict[str, float]:
+        """Total seconds per span name, from the ``time.<span>_s`` histograms."""
+        return {
+            name[len("time.") : -len("_s")]: histogram.total
+            for name, histogram in self.histograms.items()
+            if name.startswith("time.") and name.endswith("_s")
+        }
+
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-serializable view of everything collected so far."""
         return {
@@ -235,6 +244,40 @@ def isolated():
             yield inner
         finally:
             parent.merge(inner)
+
+
+class CacheDelta:
+    """A family of memo tables' hit/miss counts over one run.
+
+    ``stats`` returns ``{table: {"hits", "misses", "size"}}``, the
+    ``cache_stats()`` shape of :mod:`repro.symbolic.expr` and
+    :mod:`repro.ranges.interval`, whose counts accumulate per process.
+    :meth:`publish` counts ``<prefix>.<table>.hits``/``.misses`` since
+    construction and gauges ``<prefix>.size``, the tables' total size.
+    Takes no snapshot when collection is off.
+    """
+
+    __slots__ = ("prefix", "stats", "before")
+
+    def __init__(self, prefix: str, stats: Callable[[], Dict[str, Dict[str, int]]]):
+        self.prefix = prefix
+        self.stats = stats
+        self.before = stats() if active() is not None else None
+
+    def publish(self) -> None:
+        registry = active()
+        if self.before is None or registry is None:
+            return
+        stats = self.stats()
+        for table, counts in stats.items():
+            for kind in ("hits", "misses"):
+                registry.inc(
+                    f"{self.prefix}.{table}.{kind}",
+                    counts[kind] - self.before[table][kind],
+                )
+        registry.set_gauge(
+            f"{self.prefix}.size", sum(counts["size"] for counts in stats.values())
+        )
 
 
 def inc(name: str, amount: Number = 1) -> None:

@@ -40,7 +40,6 @@ from contextvars import ContextVar
 from typing import Any, Dict, List, Optional
 
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 
 __all__ = [
     "DEFAULT_STORE",
@@ -48,6 +47,10 @@ __all__ = [
     "RunLogWriter",
     "build_record",
     "capture",
+    "degradation_rows",
+    "loop_records",
+    "merge_record",
+    "new_record",
     "origin",
     "recording",
     "source_fingerprint",
@@ -92,9 +95,6 @@ class RunLogWriter:
         self.run_id = run_id
         self.path = os.path.join(directory, f"{run_id}.jsonl")
         self.records_written = 0
-        #: phase totals at the previous capture -- records carry per-input
-        #: deltas even though the tracer accumulates across a corpus run
-        self.phase_baseline: Dict[str, float] = {}
 
     def write(self, record: Dict[str, Any]) -> None:
         """Append one record crash-safely.
@@ -187,7 +187,73 @@ def source_lang(label: Optional[str]):
 # ----------------------------------------------------------------------
 # record construction
 # ----------------------------------------------------------------------
-def _loop_record(result, summary, verdict) -> Dict[str, Any]:
+_DEGRADATION_FIELDS = ("phase", "code", "action", "scope", "diag_code", "message")
+
+
+def degradation_rows(degradations) -> List[Dict[str, Any]]:
+    """The JSON rows of a sequence of degradation records."""
+    return [{key: getattr(d, key) for key in _DEGRADATION_FIELDS} for d in degradations]
+
+
+def new_record(
+    origin_label: Optional[str],
+    function: str,
+    fingerprint: str,
+    degradations=(),
+) -> Dict[str, Any]:
+    """A record with no loops yet: the skeleton every record starts from.
+
+    :func:`build_record` fills it from one analyzed program, a skip
+    record of a function that never lowered leaves it empty, and a
+    multi-function record folds its parts in with :func:`merge_record`.
+    """
+    return {
+        "schema": RUNLOG_SCHEMA,
+        "ts": time.time(),
+        "origin": origin_label,
+        "source_lang": _SOURCE_LANG.get() or "loop",
+        "function": function,
+        "fingerprint": fingerprint,
+        "loops": [],
+        "classes": {},
+        "parallel": {"doall": 0, "serial": 0, "undecided": 0},
+        "blocked": {},
+        "degradations": degradation_rows(degradations),
+        "ranges": None,
+        "invariants": None,
+    }
+
+
+def _add_loop(record: Dict[str, Any], loop: Dict[str, Any]) -> None:
+    """Append one loop record and count it in the record's rollups."""
+    record["loops"].append(loop)
+    classes = record["classes"]
+    for kind, count in loop["class_counts"].items():
+        classes[kind] = classes.get(kind, 0) + count
+    parallel = record["parallel"]
+    if loop["parallel"] is None:
+        parallel["undecided"] += 1
+    elif loop["parallel"]:
+        parallel["doall"] += 1
+    else:
+        parallel["serial"] += 1
+        blocked = record["blocked"]
+        for blocker in loop["blocked_by"]:
+            blocked[blocker["reason"]] = blocked.get(blocker["reason"], 0) + 1
+
+
+def merge_record(record: Dict[str, Any], part: Dict[str, Any]) -> None:
+    """Fold another function's record into ``record``.
+
+    Loops and degradations are appended; classes, parallel verdicts and
+    blockers are summed.
+    """
+    for loop in part["loops"]:
+        _add_loop(record, loop)
+    record["degradations"].extend(part["degradations"])
+
+
+def _loop_record(summary, verdict) -> Dict[str, Any]:
     class_counts: Dict[str, int] = {}
     classes: Dict[str, str] = {}
     for name, cls in summary.classifications.items():
@@ -219,14 +285,23 @@ def _loop_record(result, summary, verdict) -> Dict[str, Any]:
     return record
 
 
-def _parallelism(program):
-    """Per-loop verdicts for the record, or None when the graph fails."""
-    if not program.result.loops:
-        return {}
-    try:
-        return program.dependences()[1]
-    except Exception:
-        return None
+def loop_records(program) -> List[Dict[str, Any]]:
+    """One record per loop of ``program``, outermost first, with its verdict.
+
+    A loop's ``parallel`` is None when the dependence graph fails.
+    """
+    verdicts = {}
+    if program.result.loops:
+        try:
+            verdicts = program.dependences()[1]
+        except Exception:  # noqa: BLE001 - verdicts degrade to undecided
+            pass
+    return [
+        _loop_record(summary, verdicts.get(summary.label))
+        for summary in sorted(
+            program.result.loops.values(), key=lambda s: (s.loop.depth, s.label)
+        )
+    ]
 
 
 def _ranges_stats(result) -> Optional[Dict[str, Any]]:
@@ -255,71 +330,33 @@ def _invariant_stats(result) -> Optional[Dict[str, Any]]:
     }
 
 
-def build_record(
-    program,
-    origin_label: Optional[str] = None,
-    phase_baseline: Optional[Dict[str, float]] = None,
-) -> Dict[str, Any]:
-    """The flight-recorder record of one analyzed program (JSON-ready)."""
-    result = program.result
-    verdicts = _parallelism(program)
-    loops: List[Dict[str, Any]] = []
-    classes_total: Dict[str, int] = {}
-    blocked_total: Dict[str, int] = {}
-    doall = serial = undecided = 0
-    for summary in sorted(
-        result.loops.values(), key=lambda s: (s.loop.depth, s.label)
-    ):
-        verdict = None if verdicts is None else verdicts.get(summary.label)
-        loop_record = _loop_record(result, summary, verdict)
-        loops.append(loop_record)
-        for kind, count in loop_record["class_counts"].items():
-            classes_total[kind] = classes_total.get(kind, 0) + count
-        if loop_record["parallel"] is None:
-            undecided += 1
-        elif loop_record["parallel"]:
-            doall += 1
-        else:
-            serial += 1
-            for blocker in loop_record["blocked_by"]:
-                reason = blocker["reason"]
-                blocked_total[reason] = blocked_total.get(reason, 0) + 1
+def build_record(program, origin_label: Optional[str] = None) -> Dict[str, Any]:
+    """The flight-recorder record of one analyzed program (JSON-ready).
 
-    record: Dict[str, Any] = {
-        "schema": RUNLOG_SCHEMA,
-        "ts": time.time(),
-        "origin": origin_label,
-        "source_lang": _SOURCE_LANG.get() or "loop",
-        "function": program.ssa.name,
-        "fingerprint": source_fingerprint(program.source, program.ssa),
-        "loops": loops,
-        "classes": classes_total,
-        "parallel": {"doall": doall, "serial": serial, "undecided": undecided},
-        "blocked": blocked_total,
-        "degradations": [
-            {
-                "phase": d.phase,
-                "code": d.code,
-                "action": d.action,
-                "scope": d.scope,
-                "diag_code": d.diag_code,
-                "message": d.message,
-            }
-            for d in program.degradations
-        ],
-        "ranges": _ranges_stats(result),
-        "invariants": _invariant_stats(result),
-    }
-    tracer = _trace.active()
-    if tracer is not None:
-        base = phase_baseline or {}
-        record["phases"] = {
-            name: round(delta, 9)
-            for name, total in tracer.phase_totals().items()
-            if (delta := total - base.get(name, 0.0)) > 0.0
-        }
+    ``phases`` and ``counters`` come from the active metrics registry,
+    so they cover exactly the input that registry scopes: callers that
+    analyze several inputs give each its own
+    :func:`repro.obs.metrics.isolated` scope.  A span still open at
+    capture time (``pipeline.analyze`` around the capture itself) has
+    not reached the registry and is in no record.
+    """
+    record = new_record(
+        origin_label,
+        program.ssa.name,
+        source_fingerprint(program.source, program.ssa),
+        program.degradations,
+    )
+    for loop in loop_records(program):
+        _add_loop(record, loop)
+    record["ranges"] = _ranges_stats(program.result)
+    record["invariants"] = _invariant_stats(program.result)
     registry = _metrics.active()
     if registry is not None:
+        record["phases"] = {
+            name: round(total, 9)
+            for name, total in registry.span_totals().items()
+            if total > 0.0
+        }
         record["counters"] = dict(
             sorted((k, c.value) for k, c in registry.counters.items())
         )
@@ -341,7 +378,7 @@ def capture(program) -> Optional[Dict[str, Any]]:
     started = time.perf_counter()
     origin_label = _ORIGIN.get()
     try:
-        record = build_record(program, origin_label, writer.phase_baseline)
+        record = build_record(program, origin_label)
     except Exception as error:  # noqa: BLE001 - observability must not raise
         record = {
             "schema": RUNLOG_SCHEMA,
@@ -349,9 +386,6 @@ def capture(program) -> Optional[Dict[str, Any]]:
             "origin": origin_label,
             "error": f"{type(error).__name__}: {error}",
         }
-    tracer = _trace.active()
-    if tracer is not None:
-        writer.phase_baseline = dict(tracer.phase_totals())
     try:
         writer.write(record)
     except OSError:

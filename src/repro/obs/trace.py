@@ -161,13 +161,6 @@ class Tracer:
     def open_depth(self) -> int:
         return len(self._stack)
 
-    def phase_totals(self) -> Dict[str, float]:
-        """Total seconds per span name (summed over all occurrences)."""
-        totals: Dict[str, float] = {}
-        for record in self.spans:
-            totals[record.name] = totals.get(record.name, 0.0) + record.duration_ns / 1e9
-        return totals
-
 
 # ----------------------------------------------------------------------
 # the context-var span stack

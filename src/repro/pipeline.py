@@ -51,6 +51,7 @@ from repro.resilience.budget import AnalysisBudget
 from repro.resilience.errors import MissingPhiError
 from repro.resilience.isolation import DegradationRecord
 from repro.ssa.construct import SSAInfo, construct_ssa
+from repro.symbolic.expr import cache_stats as expr_cache_stats
 
 
 @dataclass
@@ -266,34 +267,6 @@ def _analysis_scope(
         yield log
 
 
-def _expr_cache_totals() -> Dict[str, int]:
-    """Flattened hit/miss totals of the Expr memo tables (for deltas)."""
-    from repro.symbolic.expr import cache_stats
-
-    stats = cache_stats()
-    return {
-        f"{table}.{kind}": stats[table][kind]
-        for table in ("sym", "subst", "const")
-        for kind in ("hits", "misses")
-    }
-
-
-def _record_expr_cache_delta(before: Dict[str, int]) -> None:
-    """Feed this run's Expr memo hit/miss deltas into the metrics registry."""
-    from repro.symbolic.expr import cache_stats
-
-    registry = _metrics.active()
-    if registry is None:
-        return
-    after = _expr_cache_totals()
-    for key, value in after.items():
-        registry.inc(f"expr.cache.{key}", value - before[key])
-    stats = cache_stats()
-    registry.set_gauge(
-        "expr.cache.size", sum(stats[table]["size"] for table in stats)
-    )
-
-
 def _degraded_program(
     source: Optional[str],
     name: str,
@@ -446,7 +419,7 @@ def _analyze_function(
     if log is None:
         log = _isolation.DegradationLog()
 
-    cache_before = _expr_cache_totals() if _metrics.active() is not None else None
+    expr_cache = _metrics.CacheDelta("expr.cache", expr_cache_stats)
 
     try:
         # an overrun loop simplification (or a front end run before
@@ -520,8 +493,7 @@ def _analyze_function(
             _invariants_phase,
             default=InvariantInfo.degraded_info(function=ssa.name),
         )
-    if cache_before is not None:
-        _record_expr_cache_delta(cache_before)
+    expr_cache.publish()
     program = AnalyzedProgram(
         source=source,
         named_ir=named,

@@ -15,7 +15,6 @@ analysis bug) costs exactly that function, never the corpus run.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -77,67 +76,30 @@ def _skip_record(cf: CompiledFunction) -> Dict[str, Any]:
     run's store aggregates cleanly even when most of a real package
     degrades (the expected steady state on arbitrary code).
     """
-    from repro.obs.runlog import RUNLOG_SCHEMA, source_fingerprint
+    from repro.obs import runlog
 
-    return {
-        "schema": RUNLOG_SCHEMA,
-        "ts": time.time(),
-        "origin": cf.origin,
-        "source_lang": "python",
-        "function": cf.qualname,
-        "fingerprint": source_fingerprint(cf.source),
-        "loops": [],
-        "classes": {},
-        "parallel": {"doall": 0, "serial": 0, "undecided": 0},
-        "blocked": {},
-        "degradations": [
-            {
-                "phase": d.phase,
-                "code": d.code,
-                "action": d.action,
-                "scope": d.scope,
-                "diag_code": d.diag_code,
-                "message": d.message,
-            }
-            for d in cf.degradations
-        ],
-        "ranges": None,
-        "invariants": None,
-    }
+    with runlog.source_lang("python"):
+        return runlog.new_record(
+            cf.origin,
+            cf.qualname,
+            runlog.source_fingerprint(cf.source),
+            cf.degradations,
+        )
 
 
 def _loop_rows(program) -> List[Dict[str, Any]]:
     """Per-loop verdicts + classifications for the corpus report."""
-    rows: List[Dict[str, Any]] = []
-    result = program.result
-    verdicts: Dict[str, Any] = {}
-    if result.loops:
-        try:
-            verdicts = program.dependences()[1]
-        except Exception:  # noqa: BLE001 - verdicts degrade to undecided
-            verdicts = {}
-    for summary in sorted(
-        result.loops.values(), key=lambda s: (s.loop.depth, s.label)
-    ):
-        verdict = verdicts.get(summary.label)
-        classes = {
-            name: cls.describe()
-            for name, cls in sorted(summary.classifications.items())
-            if not name.startswith("$")
+    from repro.obs.runlog import loop_records
+
+    return [
+        {
+            "header": loop["header"],
+            "parallel": loop["parallel"],
+            "blocked_by": [blocker["reason"] for blocker in loop["blocked_by"]],
+            "classes": dict(sorted(loop["classes"].items())),
         }
-        rows.append(
-            {
-                "header": summary.label,
-                "parallel": None if verdict is None else bool(
-                    verdict.parallelizable
-                ),
-                "blocked_by": []
-                if verdict is None
-                else [b.to_json()["reason"] for b in verdict.blockers],
-                "classes": classes,
-            }
-        )
-    return rows
+        for loop in loop_records(program)
+    ]
 
 
 def _analyze_compiled(

@@ -651,7 +651,7 @@ def compute_ranges(result: AnalysisResult) -> RangeInfo:
     fault_point("ranges.compute")
     function = result.function
     registry = _metrics.active()
-    cache_before = _interval_cache_totals() if registry is not None else None
+    interval_cache = _metrics.CacheDelta("interval.cache", _interval.cache_stats)
     with _trace.span("ranges", function=function.name):
         info = _compute(function, result)
     if registry is not None:
@@ -665,29 +665,8 @@ def compute_ranges(result: AnalysisResult) -> RangeInfo:
         registry.inc("ranges.fixpoint.insts", info.fixpoint_insts)
         registry.inc("ranges.fixpoint.visits", info.fixpoint_visits)
         registry.inc("ranges.fixpoint.narrowed", info.fixpoint_narrowed)
-        _record_interval_cache_delta(registry, cache_before)
+        interval_cache.publish()
     return info
-
-
-def _interval_cache_totals() -> Dict[str, int]:
-    """Flattened hit/miss totals of the interval memo tables (for deltas)."""
-    stats = _interval.cache_stats()
-    return {
-        f"{table}.{kind}": stats[table][kind]
-        for table in ("bound", "point")
-        for kind in ("hits", "misses")
-    }
-
-
-def _record_interval_cache_delta(registry, before: Dict[str, int]) -> None:
-    """Feed this run's interning hit/miss deltas into the metrics registry."""
-    after = _interval_cache_totals()
-    for key, value in after.items():
-        registry.inc(f"interval.cache.{key}", value - before[key])
-    stats = _interval.cache_stats()
-    registry.set_gauge(
-        "interval.cache.size", sum(stats[table]["size"] for table in stats)
-    )
 
 
 def _compute(function: Function, result: AnalysisResult) -> RangeInfo:

@@ -33,7 +33,7 @@ from dataclasses import replace
 from typing import Any, Dict, Optional
 
 from repro.obs import observing
-from repro.obs.runlog import build_record
+from repro.obs import runlog
 from repro.pipeline import analyze
 from repro.resilience.budget import SERVICE_BUDGET, AnalysisBudget
 from repro.resilience.errors import InjectedFault
@@ -110,7 +110,7 @@ def run_job(
                 ranges=bool(options.get("ranges", False)),
                 invariants=bool(options.get("invariants", False)),
             )
-            record = build_record(program, origin_label=job.get("origin"))
+            record = runlog.build_record(program, origin_label=job.get("origin"))
             report = None
             if options.get("report"):
                 from repro.report import format_report
@@ -153,12 +153,8 @@ def _run_python_job(
     ``degradations`` -- a module that degrades entirely still answers
     ``ok``.
     """
-    import time
-
-    from repro.obs.runlog import RUNLOG_SCHEMA, source_fingerprint, source_lang
-
     try:
-        with observing(), source_lang("python"):
+        with observing(), runlog.source_lang("python"):
             from repro.analysis.loopsimplify import simplify_loops
             from repro.ir.clone import clone_function
             from repro.pipeline import analyze_function
@@ -174,39 +170,21 @@ def _run_python_job(
                         "message": module.error.message,
                     },
                 }
-            record: Dict[str, Any] = {
-                "schema": RUNLOG_SCHEMA,
-                "ts": time.time(),
-                "origin": job.get("origin"),
-                "source_lang": "python",
-                "function": job.get("name") or "module",
-                "fingerprint": source_fingerprint(source),
-                "loops": [],
-                "classes": {},
-                "parallel": {"doall": 0, "serial": 0, "undecided": 0},
-                "blocked": {},
-                "degradations": [],
-                "ranges": None,
-                "invariants": None,
-                "functions": {
-                    "total": len(module.functions),
-                    "lowered": 0,
-                    "degraded": 0,
-                },
+            record = runlog.new_record(
+                job.get("origin"),
+                job.get("name") or "module",
+                runlog.source_fingerprint(source),
+            )
+            record["functions"] = {
+                "total": len(module.functions),
+                "lowered": 0,
+                "degraded": 0,
             }
             reports = []
             degraded = False
             for compiled in module.functions:
                 record["degradations"].extend(
-                    {
-                        "phase": d.phase,
-                        "code": d.code,
-                        "action": d.action,
-                        "scope": d.scope,
-                        "diag_code": d.diag_code,
-                        "message": d.message,
-                    }
-                    for d in compiled.degradations
+                    runlog.degradation_rows(compiled.degradations)
                 )
                 if not compiled.ok:
                     record["functions"]["degraded"] += 1
@@ -225,20 +203,10 @@ def _run_python_job(
                     ranges=bool(options.get("ranges", False)),
                     invariants=bool(options.get("invariants", False)),
                 )
-                part = build_record(program, origin_label=compiled.origin)
+                runlog.merge_record(
+                    record, runlog.build_record(program, compiled.origin)
+                )
                 record["functions"]["lowered"] += 1
-                record["loops"].extend(part["loops"])
-                for kind, count in part["classes"].items():
-                    record["classes"][kind] = (
-                        record["classes"].get(kind, 0) + count
-                    )
-                for key in record["parallel"]:
-                    record["parallel"][key] += part["parallel"][key]
-                for reason, count in part["blocked"].items():
-                    record["blocked"][reason] = (
-                        record["blocked"].get(reason, 0) + count
-                    )
-                record["degradations"].extend(part["degradations"])
                 degraded = degraded or bool(program.degraded)
                 if options.get("report"):
                     from repro.report import format_report

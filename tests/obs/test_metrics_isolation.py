@@ -9,6 +9,8 @@ reported cumulative numbers.
 
 import json
 
+import pytest
+
 from tests.conftest import analyze_src
 
 from repro.obs import observing
@@ -114,3 +116,33 @@ class TestCliLoops:
         two = next(r for o, r in by_origin.items() if o.endswith("two.loop"))
         assert one["counters"]["classify.loops"] == 1
         assert two["counters"]["classify.loops"] == 2
+
+    def test_corpus_report_phases_are_per_input(self, tmp_path, capsys):
+        from repro.cli import main
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "one.loop").write_text(ONE_LOOP)
+        (corpus / "two.loop").write_text(TWO_LOOPS)
+        store = tmp_path / "runs"
+        trace = tmp_path / "trace.json"
+        argv = [str(corpus), "--runlog", str(store), "--trace", str(trace)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        (run_file,) = store.iterdir()
+        with open(run_file) as handle:
+            records = [json.loads(line) for line in handle]
+        with open(trace) as handle:
+            parses = [
+                entry["dur"] / 1e6
+                for entry in json.load(handle)["traceEvents"]
+                if entry.get("name") == "frontend.parse"
+            ]
+        assert len(records) == len(parses) == 2
+        for record, parse_s in zip(records, parses):
+            # pipeline.analyze ends after its own capture, so no record
+            # may carry it (the next input's record used to)
+            assert "pipeline.analyze" not in record["phases"]
+            assert record["phases"]["frontend.parse"] == pytest.approx(
+                parse_s, abs=1e-9
+            )

@@ -5,7 +5,7 @@ import os
 
 from tests.conftest import analyze_src
 
-from repro.obs import observing
+from repro.obs import metrics, observing
 from repro.obs import runlog
 from repro.obs.runlog import (
     RUNLOG_SCHEMA,
@@ -139,20 +139,23 @@ class TestRecordShape:
         assert record["degradations"][0]["phase"]
 
     def test_phases_and_counters_under_observation(self, tmp_path):
+        scopes = []
         with observing() as obs:
             with recording(str(tmp_path / "runs")) as writer:
-                analyze_src(DOALL)
-                analyze_src(DOALL)
-            total_parse = obs.tracer.phase_totals()["frontend.parse"]
+                for _ in range(2):
+                    with metrics.isolated() as scope:
+                        analyze_src(DOALL)
+                    scopes.append(scope)
         first, second = read_store(writer)
-        assert first["phases"]["frontend.parse"] > 0
-        # phases are per-record deltas against the shared tracer: the two
-        # records partition the cumulative total instead of repeating it
-        recorded = (
-            first["phases"]["frontend.parse"] + second["phases"]["frontend.parse"]
-        )
-        assert abs(recorded - total_parse) < 1e-6
-        assert first["counters"]["classify.loops"] >= 1
+        # each record reads its own input's scope: its parse time, not a
+        # running total over the invocation
+        for record, scope in zip((first, second), scopes):
+            parse = scope.histograms["time.frontend.parse_s"]
+            assert parse.count == 1
+            assert record["phases"]["frontend.parse"] == round(parse.total, 9)
+            assert record["counters"]["classify.loops"] == 1
+        total = obs.metrics.histograms["time.frontend.parse_s"]
+        assert total.count == 2
 
     def test_overhead_self_profiling(self, tmp_path):
         with observing() as obs:

@@ -98,6 +98,23 @@ class TestOutput:
 
 
 class TestRunlog:
+    def test_function_records_carry_no_module_lowering(self, tmp_path, capsys):
+        module = CLEAN + CLEAN.replace("doubled", "tripled")
+        for name in ("first", "second"):
+            (tmp_path / f"{name}.py").write_text(module)
+        store = tmp_path / "runs"
+        assert main(["pylint", str(tmp_path), "--runlog", str(store)]) == 0
+        capsys.readouterr()
+        (run_file,) = store.iterdir()
+        with open(run_file) as handle:
+            records = [json.loads(line) for line in handle]
+        assert len(records) == 4
+        for record in records:
+            # pyfront.lower compiles the whole module before any of its
+            # functions is analyzed: it belongs to no function's record
+            assert "pyfront.lower" not in record["phases"]
+            assert record["phases"]["classify"] > 0
+
     def test_runlog_store_written_and_readable(self, tmp_path, capsys):
         store = tmp_path / "runs"
         path = tmp_path / "clean.py"

@@ -7,7 +7,12 @@ request field.
 
 import pytest
 
+from repro.analysis.loopsimplify import simplify_loops
+from repro.ir.clone import clone_function
 from repro.obs.aggregate import validate_record
+from repro.obs.runlog import build_record
+from repro.pipeline import analyze_function
+from repro.pyfront.lower import compile_module
 from repro.service import AnalysisServer, ServiceClient
 from repro.service.worker import run_job
 
@@ -30,6 +35,14 @@ def stringy(s):
     return s + "!"
 """
 
+PY_SERIAL = """\
+
+def prefix(xs):
+    for i in range(1, len(xs)):
+        xs[i] = xs[i - 1] + 1
+    return 0
+"""
+
 PY_BROKEN = "def broken(:\n"
 
 
@@ -45,6 +58,33 @@ class TestRunJobPython:
         assert record["functions"] == {"total": 2, "lowered": 2, "degraded": 0}
         assert record["loops"]
         assert response["degraded"] is False
+
+    def test_merged_record_sums_its_functions(self):
+        source = PY_MIXED + PY_SERIAL
+        response = run_job(
+            {"id": 6, "source": source, "options": {"language": "python"}}
+        )
+        record = response["record"]
+        loops, classes, blocked = [], {}, {}
+        parallel = {"doall": 0, "serial": 0, "undecided": 0}
+        for compiled in compile_module(source, origin="<python>").functions:
+            if not compiled.ok:
+                continue
+            named = clone_function(compiled.function)
+            simplify_loops(named)
+            part = build_record(analyze_function(named, source=compiled.source))
+            loops += part["loops"]
+            for total, key in ((classes, "classes"), (blocked, "blocked")):
+                for name, count in part[key].items():
+                    total[name] = total.get(name, 0) + count
+            for key in parallel:
+                parallel[key] += part["parallel"][key]
+        assert record["functions"] == {"total": 4, "lowered": 3, "degraded": 1}
+        assert record["loops"] == loops
+        assert record["classes"] == classes
+        assert record["parallel"] == parallel
+        assert record["blocked"] == blocked
+        assert parallel["doall"] and parallel["serial"] and blocked
 
     def test_degraded_functions_are_reported_not_fatal(self):
         response = run_job(
