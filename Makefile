@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint pylint goldens scalar-fixpoint pyfront-digests perfbench-test perfbench-smoke ranges invariants chaos stats bench bench-check bench-baseline bench-diff report serve loadtest
+.PHONY: test lint pylint acyclic goldens scalar-fixpoint pyfront-digests perfbench-test perfbench-smoke ranges invariants chaos stats bench bench-check bench-baseline bench-diff report serve loadtest
 
 test:
 	$(PYTHON) -m pytest -m "not bench" -q
@@ -12,6 +12,12 @@ lint:
 pylint:
 	$(PYTHON) -m repro pylint src/repro tests/pyfront/corpus perfbench/data \
 		--fail-on error --out pylint-findings.json
+
+# every analysis unit (examples/, perfbench DSL seeds 1-3, compile_module
+# and each lowered function of the Python corpora) that leaves cyclic
+# garbage; exits 1 if there is one
+acyclic:
+	$(PYTHON) -m tests.core.test_result_lifetime
 
 # every golden's digests in one run (seeds 1-10 where the golden has
 # seeds): run in two checkouts and diff the outputs

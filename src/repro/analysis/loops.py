@@ -10,6 +10,7 @@ proceeds from the inner loops outward").
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.dominators import DominatorTree, dominator_tree
@@ -23,8 +24,22 @@ class Loop:
         self.header = header
         self.body = set(body)  # includes the header
         self.latches: List[str] = []
-        self.parent: Optional["Loop"] = None
+        self._parent: Optional["weakref.ref[Loop]"] = None
         self.children: List["Loop"] = []
+
+    @property
+    def parent(self) -> Optional["Loop"]:
+        """The smallest enclosing loop, or None for an outermost one.
+
+        Held weakly, since the parent holds its ``children``: a nest has no
+        reference cycle, so reference counting frees it.  It answers for as
+        long as the nest (or the parent itself) is alive.
+        """
+        return None if self._parent is None else self._parent()
+
+    @parent.setter
+    def parent(self, loop: Optional["Loop"]) -> None:
+        self._parent = None if loop is None else weakref.ref(loop)
 
     @property
     def name(self) -> str:

@@ -91,7 +91,15 @@ class _ExpansionFailure(Exception):
 
 
 class _Expander:
-    """Expands SCR members into path effects relative to the header phi."""
+    """Expands SCR members into path effects relative to the header phi.
+
+    A member's expansion needs its member operands expanded first.  Each
+    member in progress is a generator that yields the operand it needs and
+    resumes with that operand's expansion, or with its failure thrown in,
+    so :meth:`expand` runs on an explicit stack: an SCR of any length
+    expands without recursion, in the operand order and with the failures
+    of a depth-first walk.
+    """
 
     def __init__(self, ctx, members: List[str], header_phi: str):
         self.ctx = ctx
@@ -100,25 +108,47 @@ class _Expander:
         self.memo: Dict[str, List[PathEffect]] = {}
         self.in_progress: set = set()
 
-    # -- operand expansion: ClosedForm (header-independent) or effects ----
-    def expand_value(self, value: Value):
-        if isinstance(value, Const):
-            return ClosedForm.invariant(Expr.const(value.value))
-        if isinstance(value, Ref):
-            if value.name in self.members:
-                return self.expand(value.name)
-            node = self.ctx.node(value.name)
-            if node is not None:
-                form = class_closed_form(self.ctx.classification(value.name))
-                if form is None:
-                    raise _ExpansionFailure(f"operand {value.name} has no closed form")
-                return form
-            return ClosedForm.invariant(self.ctx.invariant_symbol(value.name))
-        raise _ExpansionFailure(f"bad operand {value!r}")
-
     def expand(self, name: str) -> List[PathEffect]:
-        if name in self.memo:
-            return self.memo[name]
+        effects = self.memo.get(name)
+        if effects is not None:
+            return effects
+        stack = [self._expansion(name)]
+        result, failure = None, None
+        while stack:
+            try:
+                if failure is None:
+                    operand = stack[-1].send(result)
+                else:
+                    operand = stack[-1].throw(failure)
+            except StopIteration as done:
+                stack.pop()
+                result, failure = done.value, None
+                continue
+            except _ExpansionFailure as error:
+                stack.pop()
+                result, failure = None, error
+                continue
+            result, failure = None, None
+            if isinstance(operand, Ref) and operand.name in self.members:
+                result = self.memo.get(operand.name)
+                if result is None:
+                    stack.append(self._expansion(operand.name))
+                continue
+            try:
+                result = self._operand_form(operand)
+            except _ExpansionFailure as error:
+                failure = error
+        if failure is None:
+            return result
+        try:
+            raise failure
+        finally:
+            # the traceback holds this frame: drop the frame's reference
+            # back to the exception, or the two would form a cycle
+            del failure
+
+    # -- one member: a generator over the operands it needs --------------
+    def _expansion(self, name: str):
         if name in self.in_progress:
             raise _ExpansionFailure(f"cycle avoiding the header phi at {name}")
         if name == self.header_phi:
@@ -127,7 +157,7 @@ class _Expander:
             return base
         self.in_progress.add(name)
         try:
-            effects = self._expand_node(name)
+            effects = yield from self._expand_node(name)
         finally:
             self.in_progress.discard(name)
         if len(effects) > MAX_PATHS:
@@ -143,21 +173,21 @@ class _Expander:
         self.memo[name] = stamped
         return stamped
 
-    def _expand_node(self, name: str) -> List[PathEffect]:
+    def _expand_node(self, name: str):
         node = self.ctx.node(name)
         inst = node.inst
         if inst is None:
             if node.exit_expr is None:
                 raise _ExpansionFailure("inner-loop value with unknown exit value")
-            return self._expand_expression(node.exit_expr)
+            return (yield from self._expand_expression(node.exit_expr))
         if isinstance(inst, Assign):
-            return self._as_effects(self.expand_value(inst.src))
+            return self._as_effects((yield inst.src))
         if isinstance(inst, UnOp):
-            return self._scale(self._as_effects(self.expand_value(inst.operand)), -1)
+            return self._scale(self._as_effects((yield inst.operand)), -1)
         if isinstance(inst, Phi):
             out: List[PathEffect] = []
             for value in inst.uses():
-                expanded = self.expand_value(value)
+                expanded = yield value
                 if isinstance(expanded, ClosedForm):
                     raise _ExpansionFailure(
                         f"phi {name} merges a value independent of the header"
@@ -166,18 +196,15 @@ class _Expander:
             return out
         if isinstance(inst, BinOp):
             if inst.op is BinaryOp.ADD:
-                return self._add(self.expand_value(inst.lhs), self.expand_value(inst.rhs))
+                return self._add((yield inst.lhs), (yield inst.rhs))
             if inst.op is BinaryOp.SUB:
-                return self._add(
-                    self.expand_value(inst.lhs),
-                    self._negate(self.expand_value(inst.rhs)),
-                )
+                return self._add((yield inst.lhs), self._negate((yield inst.rhs)))
             if inst.op is BinaryOp.MUL:
-                return self._mul(self.expand_value(inst.lhs), self.expand_value(inst.rhs))
+                return self._mul((yield inst.lhs), (yield inst.rhs))
             raise _ExpansionFailure(f"operator {inst.op} in cycle")
         raise _ExpansionFailure(f"{type(inst).__name__} in cycle")
 
-    def _expand_expression(self, expr: Expr) -> List[PathEffect]:
+    def _expand_expression(self, expr: Expr):
         """Expand a synthetic exit-value expression (inner-loop summary)."""
         total = None
         for mono, coeff in expr.terms().items():
@@ -188,16 +215,14 @@ class _Expander:
             # closed form of the non-member part
             part = ClosedForm.invariant(Expr.const(coeff))
             for sym, power in other_syms:
-                factor = self.expand_value(Ref(sym))
-                if not isinstance(factor, ClosedForm):
-                    raise _ExpansionFailure("unexpected member in exit value")
+                factor = yield Ref(sym)
                 for _ in range(power):
                     product = part.try_mul(factor)
                     if product is None:
                         raise _ExpansionFailure("exit value product not representable")
                     part = product
             if member_syms:
-                member_effects = self.expand(member_syms[0][0])
+                member_effects = yield Ref(member_syms[0][0])
                 term = self._mul(member_effects, part)
             else:
                 term = part
@@ -205,6 +230,20 @@ class _Expander:
         if total is None:
             total = ClosedForm.zero()
         return self._as_effects(total)
+
+    # -- operands outside the SCR ------------------------------------------
+    def _operand_form(self, value: Value) -> ClosedForm:
+        if isinstance(value, Const):
+            return ClosedForm.invariant(Expr.const(value.value))
+        if isinstance(value, Ref):
+            node = self.ctx.node(value.name)
+            if node is not None:
+                form = class_closed_form(self.ctx.classification(value.name))
+                if form is None:
+                    raise _ExpansionFailure(f"operand {value.name} has no closed form")
+                return form
+            return ClosedForm.invariant(self.ctx.invariant_symbol(value.name))
+        raise _ExpansionFailure(f"bad operand {value!r}")
 
     # -- combination helpers ---------------------------------------------
     def _as_effects(self, value) -> List[PathEffect]:

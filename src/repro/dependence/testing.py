@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.driver import AnalysisResult
 from repro.dependence.banerjee import banerjee_feasible
@@ -353,17 +353,7 @@ def _refine_directions(
         return result
 
     leaves: List[DirectionVector] = []
-
-    def refine(prefix: List, level: int) -> None:
-        if level == levels:
-            leaves.append(DirectionVector(prefix))
-            return
-        for signs in (LT, EQ, GT):
-            candidate = prefix + [signs] + [ANY] * (levels - level - 1)
-            if feasible(candidate):
-                refine(prefix + [signs], level + 1)
-
-    refine([], 0)
+    _refine([], levels, feasible, leaves)
     if not leaves:
         return DependenceResult.independent(common, "all direction vectors infeasible")
     return DependenceResult(
@@ -375,6 +365,21 @@ def _refine_directions(
         notes=["direction hierarchy (GCD + Banerjee)"],
         cause="miv",
     )
+
+
+def _refine(
+    prefix: List, levels: int, feasible: Callable[[List], bool], leaves: List[DirectionVector]
+) -> None:
+    """Append every feasible direction vector extending ``prefix``, LT
+    before EQ before GT at each level.  A module function, not a closure
+    that calls itself: that closure would be a reference cycle."""
+    level = len(prefix)
+    if level == levels:
+        leaves.append(DirectionVector(prefix))
+        return
+    for signs in (LT, EQ, GT):
+        if feasible(prefix + [signs] + [ANY] * (levels - level - 1)):
+            _refine(prefix + [signs], levels, feasible, leaves)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ the paths themselves first class:
   affine, build the update matrix of the degree-<=2 monomial basis and
   compute the polynomial equalities preserved by *every* path (the
   linear-algebra method of de Oliveira et al., solved exactly by
-  :func:`repro.symbolic.rational.nullspace`).
+  :func:`repro.symbolic.rational.integer_nullspace`).
 * :mod:`repro.invariants.analysis` -- :func:`compute_invariants`, the
   driver wired behind ``analyze(..., invariants=True)``: attaches a
   :class:`PathSummary` and the invariant equalities to each

@@ -11,9 +11,9 @@ space is the nullspace of the stacked system (the eigenvector-style
 method of de Oliveira, Breck et al., "Polynomial invariants by linear
 algebra").  The rows stay int-first -- ``int`` entries unless an update
 has a ``Fraction`` coefficient -- and zero and duplicate rows are
-dropped; :func:`repro.symbolic.rational.nullspace` solves the system
-exactly by fraction-free elimination over integers and returns the
-kernel as exact rationals.
+dropped; :func:`repro.symbolic.rational.integer_nullspace` solves the
+system exactly by fraction-free elimination over integers and returns
+the kernel as primitive integer vectors.
 
 Example: ``i += 1; s += i`` on one path and ``i += 2; s += 2*i - 1`` on
 the other both preserve ``2*s - i^2 - i``; with ``i = s = 0`` on entry
@@ -28,13 +28,12 @@ reference interpreter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from repro.invariants.paths import PathSummary
 from repro.symbolic.expr import Expr
-from repro.symbolic.rational import Rat, nullspace
+from repro.symbolic.rational import Rat, integer_nullspace
 
 #: cap on joint variables (phis + carried invariant symbols): the basis
 #: has 1 + n + n(n+1)/2 monomials, so 5 variables = 21 columns
@@ -126,7 +125,7 @@ def generate_invariants(
             if any(column):
                 rows[tuple(column)] = None
 
-    kernel = nullspace(rows, size)
+    kernel = integer_nullspace(rows, size)
     out: List[LoopInvariant] = []
     init_map = dict(inits)
     for vector in kernel:
@@ -153,35 +152,22 @@ def _monomial_basis(variables: Tuple[str, ...]):
 
 
 def _vector_to_invariant(
-    vector: List[Fraction],
+    vector: List[int],
     basis,
     variables: Tuple[str, ...],
     summary: PathSummary,
     inits: Dict[str, Expr],
     loop: str,
 ) -> Optional[LoopInvariant]:
-    # drop the constant-monomial component: P - c0 is invariant iff P is
-    coeffs = list(vector)
-    coeffs[0] = Fraction(0)
-    if all(c == 0 for c in coeffs):
+    # drop the constant-monomial component (P - c0 is invariant iff P is),
+    # then normalize to coprime integers with a positive leading coefficient
+    coeffs = [0] + vector[1:]
+    divisor = gcd(*coeffs)
+    if not divisor:
         return None
-
-    # normalize to coprime integers with a positive leading coefficient
-    denominator_lcm = 1
-    for c in coeffs:
-        if c:
-            denominator_lcm = denominator_lcm * c.denominator // gcd(
-                denominator_lcm, c.denominator
-            )
-    scaled = [c * denominator_lcm for c in coeffs]
-    numerator_gcd = 0
-    for c in scaled:
-        numerator_gcd = gcd(numerator_gcd, int(c))
-    if numerator_gcd:
-        scaled = [c / numerator_gcd for c in scaled]
-    leading = next(c for c in reversed(scaled) if c)
-    if leading < 0:
-        scaled = [-c for c in scaled]
+    if next(c for c in reversed(coeffs) if c) < 0:
+        divisor = -divisor
+    scaled = [c // divisor for c in coeffs]
 
     poly = Expr.zero()
     touches_phi = False

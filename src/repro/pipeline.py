@@ -34,6 +34,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.analysis.dominators import DominatorTree, dominator_tree
 from repro.analysis.loops import LoopNest, find_loops
 from repro.analysis.loopsimplify import simplify_loops
+from repro.collector import collector_paused
 from repro.core.driver import AnalysisResult, classify_function
 from repro.diagnostics import sanitizer
 from repro.frontend.lower import lower_program
@@ -256,9 +257,11 @@ def _analysis_scope(
 
     Shared by :func:`analyze` and :func:`analyze_function`, so each flag
     means the same in both.  An enclosing ``sanitizing()`` context wins
-    over ``sanitize`` (contexts do not nest).
+    over ``sanitize`` (contexts do not nest).  The cyclic collector is
+    paused for the whole unit (:mod:`repro.collector`).
     """
     with ExitStack() as stack:
+        stack.enter_context(collector_paused)
         if sanitize:
             stack.enter_context(sanitizer.sanitizing(strict=True))
         log = stack.enter_context(_isolation.resilient())

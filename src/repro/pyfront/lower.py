@@ -50,6 +50,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.collector import collector_paused
 from repro.frontend import ast as fe
 from repro.frontend.lower import lower_ast
 from repro.ir.function import Function
@@ -839,12 +840,14 @@ def compile_function(
 
 
 @traced("pyfront.lower")
+@collector_paused
 def compile_module(source: str, origin: str = "<python>") -> ModuleCompilation:
     """Compile every function of one Python source text.
 
     Never raises: an unparseable file (a syntax error, a null byte, or
     nesting too deep for ``ast.parse``) yields a ``PYF406`` record, and
-    each function degrades independently.
+    each function degrades independently.  The cyclic collector is paused
+    for the whole module (:mod:`repro.collector`).
     """
     try:
         tree = ast.parse(source)

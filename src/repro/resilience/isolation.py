@@ -161,7 +161,12 @@ def absorb(
     log = _LOG.get()
     wrapped = wrap_exception(error, phase)
     if log is None or _STRICT.get() or wrapped.policy is RecoveryPolicy.ABORT:
-        raise error
+        try:
+            raise error
+        finally:
+            # the traceback holds this frame: drop the frame's references
+            # to the error, or the two would form a reference cycle
+            del error, wrapped
     if wrapped.code.startswith("budget-"):
         diag_code = "RES503"
     return log.record(

@@ -212,19 +212,45 @@ def nullspace(rows: Iterable[Sequence[Rat]], width: int) -> List[List[Fraction]]
     """A basis for ``{x : A x = 0}``, where ``A`` has ``rows`` of length ``width``.
 
     One basis vector per free column of the reduced row echelon form, in
-    column order.  The RREF depends only on the row space, so ``rows`` may
-    hold zero or duplicate rows, or none (every column is then free).
+    column order, with a 1 in its free column.  The RREF depends only on
+    the row space, so ``rows`` may hold zero or duplicate rows, or none
+    (every column is then free).
+    """
+    return [
+        [Fraction(x, vec[free]) for x in vec]
+        for free, vec in _integer_kernel(rows, width)
+    ]
+
+
+def integer_nullspace(rows: Iterable[Sequence[Rat]], width: int) -> List[List[int]]:
+    """:func:`nullspace` with each basis vector scaled to a primitive
+    integer vector (coprime entries, positive in its free column)."""
+    return [vec for _free, vec in _integer_kernel(rows, width)]
+
+
+def _integer_kernel(
+    rows: Iterable[Sequence[Rat]], width: int
+) -> List[Tuple[int, List[int]]]:
+    """``(free column, primitive integer kernel vector)`` per free column.
+
+    Row ``k`` of the reduced system reads ``p_k x[c_k] + row_k[f] x[f] =
+    0`` for free column ``f``, so ``x[f] = L`` and ``x[c_k] = -row_k[f] *
+    L / p_k`` solve it in integers when ``L`` is the lcm of the pivots.
     """
     work, pivots, _ = _reduce(rows, width)
     pivot_set = set(pivots)
-    basis: List[List[Fraction]] = []
+    basis: List[Tuple[int, List[int]]] = []
     for free in range(width):
-        if free not in pivot_set:
-            vec = [Fraction(0)] * width
-            vec[free] = Fraction(1)
-            for row, col in zip(work, pivots):
-                vec[col] = Fraction(-row[free], row[col])
-            basis.append(vec)
+        if free in pivot_set:
+            continue
+        scale = lcm(*[row[col] for row, col in zip(work, pivots) if row[free]])
+        vec = [0] * width
+        vec[free] = scale
+        for row, col in zip(work, pivots):
+            if row[free]:
+                vec[col] = -row[free] * (scale // row[col])
+        divisor = gcd(*vec)
+        basis.append((free, [x // divisor for x in vec]))
     return basis
 
 

@@ -8,6 +8,7 @@ from tests.conftest import (
     classification_by_var,
 )
 from repro.core.classes import InductionVariable, Invariant, Unknown
+from repro.symbolic.expr import Expr
 
 
 class TestBasicLinear:
@@ -47,6 +48,22 @@ class TestBasicLinear:
         iv = classification_by_var(p, "i", "L1")
         assert iv.step == 6
         assert_closed_forms_match_execution(p, {"n": 30})
+
+    def test_long_cycle_expands_without_recursion(self):
+        """An SCR of 1,000 members is one linear family, not a degraded
+        ``Unknown``: expansion depth does not depend on the stack."""
+        members = 1000
+        p = analyze_src(
+            "b = 0\nL1: for i = 1 to n do\n" + "  b = b + a\n" * members + "endfor"
+        )
+        assert not p.degradations
+        names = p.ssa_names("b")[1:]
+        assert len(names) == members + 1
+        a = Expr.sym("a")
+        for k, name in enumerate(names):
+            iv = p.classification(name)
+            assert isinstance(iv, InductionVariable) and iv.is_linear
+            assert (iv.init, iv.step) == (a * k, a * members)
 
     def test_subtraction_of_invariant(self):
         p = analyze_src("i = 100\nL1: while i > 0 do\n  i = i - k\nendwhile")

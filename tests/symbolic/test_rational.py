@@ -1,12 +1,13 @@
 """Tests for exact rational matrices."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.symbolic.rational import Matrix, MatrixError, nullspace
+from repro.symbolic.rational import Matrix, MatrixError, integer_nullspace, nullspace
 
 
 class TestConstruction:
@@ -216,6 +217,14 @@ class TestNullspace:
         assert Matrix(padded).nullspace() == Matrix(rows).nullspace()
         assert nullspace(padded, 4) == nullspace(rows, 4)
 
+    def test_integer_basis_is_primitive_and_parallel(self):
+        rows = [[Fraction(1, 2), Fraction(1, 3), 0], [0, Fraction(2, 3), Fraction(-1, 5)]]
+        assert integer_nullspace(rows, 3) == [[-2, 3, 10]]
+        assert integer_nullspace([[1, 2, 3, 4]], 4) == [
+            [-2, 1, 0, 0], [-3, 0, 1, 0], [-4, 0, 0, 1]
+        ]
+        assert integer_nullspace([[6, 4, 0], [0, 0, 1]], 3) == [[-2, 3, 0]]
+
 
 # The Fraction Gauss-Jordan routines the integer core replaced, kept here
 # as the reference they must agree with.
@@ -340,6 +349,14 @@ class TestAgainstFractionReference:
         assert outcome(lambda: Matrix(data).nullspace()) == expected
         if expected is not MatrixError:
             assert nullspace(data, len(data[0])) == expected
+            # the integer basis: each vector primitive and a positive
+            # multiple of the reference vector
+            integers = integer_nullspace(data, len(data[0]))
+            assert len(integers) == len(expected)
+            for ints, ref in zip(integers, expected):
+                assert gcd(*ints) == 1
+                scale = next(x for x, r in zip(ints, ref) if r == 1)
+                assert scale > 0 and ints == [r * scale for r in ref]
 
     @settings(max_examples=200, deadline=None)
     @given(matrices())
