@@ -420,7 +420,12 @@ def _lint_imprecise_dependences(program, out: DiagnosticCollector) -> None:
     """Dependence tests that fell back to the conservative answer because a
     subscript classified as Unknown (SRC405).  SRC403 flags the subscript
     itself; this flags the *pairs* whose verdict lost precision, with the
-    descriptor's reason carried through the result notes."""
+    descriptor's reason carried through the result notes.
+
+    A loop-free function builds no graph: outside every loop each value is
+    invariant, so every subscript is affine and no test falls back."""
+    if not program.result.loops:
+        return
     try:
         graph = program.dependences()[0]
     except Exception:

@@ -88,7 +88,6 @@ SPAN_NAMES = frozenset(
         "scalar.gvn",
         "scalar.copyprop",
         "scalar.dce",
-        "scalar.mem2reg",
         "classify",
         "classify.loop",
         "dependence.graph",

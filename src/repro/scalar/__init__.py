@@ -19,11 +19,9 @@ from repro.scalar.copyprop import propagate_copies
 from repro.scalar.dce import eliminate_dead_code
 from repro.scalar.simplify import simplify_instructions
 from repro.scalar.gvn import run_gvn
-from repro.scalar.mem2reg import promote_scalars
 
 __all__ = [
     "run_gvn",
-    "promote_scalars",
     "SCCPResult",
     "run_sccp",
     "propagate_copies",

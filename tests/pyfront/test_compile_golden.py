@@ -346,18 +346,38 @@ def test_annotations_are_not_kind_evidence():
     assert cf.params == [("xs", "list"), ("n", "int")]
 
 
-def repository_digests():
-    """(path, digest) of ``render(..., facts=True)`` for every ``.py`` file
-    of the repository, paths relative to its root: not a golden, it pins
-    nothing; two checkouts' outputs are diffed."""
+def repository_modules():
+    """(path, ``compile_module`` output) for every ``.py`` file of the
+    repository (``perfbench/data`` and the corpus included), paths
+    relative to its root."""
     root = DATA.parents[1]
     for path in sorted(root.rglob("*.py")):
         name = path.relative_to(root).as_posix()
         if any(part.startswith(".") or part == "__pycache__" for part in name.split("/")):
             continue
-        text = path.read_text(encoding="utf-8")
-        rendered = render(compile_module(text, origin=name), facts=True)
+        yield name, compile_module(path.read_text(encoding="utf-8"), origin=name)
+
+
+def repository_digests():
+    """(path, digest) of ``render(..., facts=True)`` for every ``.py`` file
+    of the repository: not a golden, it pins nothing; two checkouts'
+    outputs are diffed."""
+    for name, module in repository_modules():
+        rendered = render(module, facts=True)
         yield name, hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+
+
+def test_no_repository_def_crashes_the_walk():
+    # PYF401 is a warning, so ``repro pylint --fail-on error`` passes a
+    # crash of the walk that records and desugars a def; this does not
+    crashed = [
+        f"{name}:{cf.qualname}: {d.message}"
+        for name, module in repository_modules()
+        for cf in module.functions
+        for d in cf.degradations
+        if d.code == "internal-error"
+    ]
+    assert crashed == []
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--repository"]:

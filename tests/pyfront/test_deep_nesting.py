@@ -75,7 +75,7 @@ def test_compile_module_never_raises(make, terms):
     if make is module_level:
         assert compiled.qualname == "f" and compiled.ok
         return
-    # the validator recurses once per expression level, so a return too
+    # the walk recurses once per expression level, so a return too
     # deep for the recursion limit degrades as an unsupported expression;
     # the sizes stay clear of the limit itself
     assert compiled.qualname == "g"
