@@ -31,6 +31,7 @@ goldens:
 	$(PYTHON) -m tests.diagnostics.test_verifier_golden
 	$(PYTHON) -m tests.pyfront.test_compile_golden
 	$(PYTHON) -m tests.pyfront.test_pylint_golden
+	$(PYTHON) -m tests.pyfront.test_first_blocker_golden
 
 # every early stop of the scalar rounds, checked by running the skipped
 # round on a clone: perfbench seeds 1-30 and 5,000 random programs
