@@ -2,13 +2,13 @@
 
 The paper's recognizer only matters if it can face real programs; this
 package is the bridge.  :func:`repro.pyfront.lower.compile_module`
-walks each function of an ordinary Python file once: every construct
-outside the supported subset (catalogued in ``SUPPORTED`` and
-``docs/PYTHON.md``) is recorded through the ``PYF4xx`` diagnostic
-family instead of ever raising, degrading that function, and a
-function with no such record comes out of the same walk desugared into
-the loop-language AST, from which :mod:`repro.frontend.lower` builds
-the IR.  :func:`repro.pyfront.driver.pylint_paths` is
+walks each function of an ordinary Python file once: the first
+construct outside the supported subset (catalogued in ``SUPPORTED`` and
+``docs/PYTHON.md``) ends the walk and degrades that function with one
+record of the ``PYF4xx`` diagnostic family instead of ever raising, and
+a function the walk finishes comes out of it desugared into the
+loop-language AST, from which :mod:`repro.frontend.lower` builds the
+IR.  :func:`repro.pyfront.driver.pylint_paths` is
 the corpus driver behind ``repro pylint``: it walks packages and runs
 every lowered function through classification, value ranges, invariants,
 and dependence testing.

@@ -16,10 +16,11 @@ analysis bug) costs exactly that function, never the corpus run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.diagnostics.diagnostic import Diagnostic, DiagnosticCollector
 from repro.pyfront.lower import CompiledFunction, compile_module
+from repro.resilience.isolation import DegradationRecord
 
 #: hint attached to PYF4xx findings (instead of the RES5xx default)
 _HINT = "see docs/PYTHON.md for the supported Python subset"
@@ -27,6 +28,7 @@ _HINT = "see docs/PYTHON.md for the supported Python subset"
 __all__ = [
     "CorpusResult",
     "FunctionOutcome",
+    "blocked_rollup",
     "pylint_paths",
     "render_corpus_json",
     "render_corpus_text",
@@ -43,6 +45,8 @@ class FunctionOutcome:
     #: per-loop rows: header label, DOALL verdict, blocker slugs, and the
     #: classification (``describe()``) of every source-level name
     loops: List[Dict[str, Any]] = field(default_factory=list)
+    #: the record of the first construct that kept it from lowering
+    blocker: Optional[DegradationRecord] = None
 
 
 @dataclass
@@ -234,7 +238,10 @@ def pylint_paths(
                         except OSError:
                             pass
                     outcome = FunctionOutcome(
-                        origin=cf.origin, qualname=cf.qualname, ok=False
+                        origin=cf.origin,
+                        qualname=cf.qualname,
+                        ok=False,
+                        blocker=cf.degradations[0],
                     )
             if outcome.ok:
                 result.lowered += 1
@@ -288,7 +295,28 @@ def render_corpus_text(result: CorpusResult) -> str:
     lines.append("")
     lines.append("== findings ==")
     lines.append(render_text(result.findings))
+    lines.append("")
+    lines.append("== blocked ==")
+    rollup = blocked_rollup(result)
+    if not rollup:
+        lines.append("  none")
+    for code, (count, example) in rollup.items():
+        lines.append(
+            f"  {count:5d}  {example.blocker.diag_code} {code}  "
+            f"e.g. {example.origin} {example.qualname}"
+        )
     return "\n".join(lines)
+
+
+def blocked_rollup(result: CorpusResult) -> Dict[str, Tuple[int, FunctionOutcome]]:
+    """First-blocking ``code`` -> (functions it blocks, the first of them),
+    most frequent first, then by code: what to teach the frontend next."""
+    rollup: Dict[str, Tuple[int, FunctionOutcome]] = {}
+    for outcome in result.outcomes:
+        if outcome.blocker is not None:
+            count, example = rollup.get(outcome.blocker.code, (0, outcome))
+            rollup[outcome.blocker.code] = (count + 1, example)
+    return dict(sorted(rollup.items(), key=lambda item: (-item[1][0], item[0])))
 
 
 def render_corpus_json(result: CorpusResult) -> str:
@@ -311,6 +339,9 @@ def render_corpus_json(result: CorpusResult) -> str:
         ],
         "findings": [d.to_dict() for d in result.findings],
         "counts": _severity_counts(result.findings),
+        "blocked": {
+            code: count for code, (count, _) in blocked_rollup(result).items()
+        },
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 

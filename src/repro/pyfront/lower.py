@@ -1,9 +1,9 @@
 """Compile a subset of real CPython functions (stdlib ``ast``) to named IR.
 
 Kinds are read from one walk of each def, and one recursive walk
-(:class:`_Desugarer`) records every construct outside the subset and
-desugars the rest into a loop-language program
-(:mod:`repro.frontend.ast`); for a function with no blocking record,
+(:class:`_Desugarer`) desugars it into a loop-language program
+(:mod:`repro.frontend.ast`), stopping at the first construct outside
+the subset; for a function it walked to the end,
 :func:`repro.frontend.lower.lower_ast` builds its IR, so each construct
 is lowered in one place for both front ends.  Adding a construct takes
 one method of that walk, which both records and rewrites.  The subset
@@ -21,9 +21,9 @@ is exactly what the IR executes with CPython's semantics on int inputs
 * ``assert`` bounds of the shapes ``assert n <op> literal`` and
   ``assert len(a) <op> literal``, recorded as range assumptions
 
-Everything else **degrades, never raises**: the walk collects one
-:class:`~repro.resilience.isolation.DegradationRecord` per unsupported
-construct (the ``PYF4xx`` diagnostic family) and the function is skipped.
+Everything else **degrades, never raises**: the function is skipped
+with one :class:`~repro.resilience.isolation.DegradationRecord` (the
+``PYF4xx`` diagnostic family) naming its first blocking construct.
 Ingesting an arbitrary package is therefore total -- the corpus driver
 (:mod:`repro.pyfront.driver`) leans on that to walk real packages.
 
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Set, Tuple
 
 from repro.collector import collector_paused
 from repro.frontend import ast as fe
@@ -111,8 +111,9 @@ class CompiledFunction:
     params: List[Tuple[str, str]] = field(default_factory=list)
     #: the named IR, or ``None`` when the function degraded
     function: Optional[Function] = None
-    #: one record per unsupported construct (PYF4xx), plus dropped-assert
-    #: notes; non-empty degradations with ``function is None`` mean skipped
+    #: a skipped function (``function is None``): the one record of its
+    #: first blocking construct (PYF401-PYF405); a lowered one: its
+    #: dropped-assert notes (PYF407)
     degradations: List[DegradationRecord] = field(default_factory=list)
     #: the def's own text from its module, without the def's indentation
     #: (the oracle execs it, the runlog fingerprints it); set by
@@ -197,19 +198,24 @@ def _len_call(node: ast.AST) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# desugaring: one walk records every problem and builds the program
+# desugaring: one walk builds the program or stops at the first problem
 # ----------------------------------------------------------------------
-class _Desugarer:
-    """Walks one def once: records every construct outside the subset and
-    rewrites the rest into a loop-language program.
+class _Blocked(Exception):
+    """The first blocking record of a def, which ends its walk."""
 
-    Each construct has one method that either records its ``PYF4xx``
-    problem and yields None in place of its node, or returns (or, for a
-    statement, appends) its loop-language node.  Collecting *all*
-    problems (instead of failing fast) is what gives the corpus driver
-    per-construct degradation records.  After the first blocking record
-    the walk goes on recording but builds nothing (``ok`` is False): that
-    def's program would be thrown away.
+    def __init__(self, record: DegradationRecord):
+        super().__init__(record.message)
+        self.record = record
+
+
+class _Desugarer:
+    """Walks one def once, rewriting it into a loop-language program.
+
+    Each construct has one method that either returns (or, for a
+    statement, appends) its loop-language node or raises :class:`_Blocked`
+    with its ``PYF4xx`` record.  The walk therefore fails fast: a degraded
+    def is reported by its first blocking construct, in walk order, and
+    nothing after it is visited.
     """
 
     def __init__(
@@ -224,26 +230,24 @@ class _Desugarer:
         self.nodes = nodes
         self.kinds = kinds
         self.scope = scope
-        self.records: List[DegradationRecord] = []
-        #: no blocking record yet, so the program is still being built
-        self.ok = True
+        #: the dropped-assert notes (PYF407) of the walk so far
+        self.notes: List[DegradationRecord] = []
         self.loop_depth = 0
         self.temp_counter = 0
         self.params = [a.arg for a in all_args(node)]
 
     # -- recording -----------------------------------------------------
-    def problem(self, diag_code: str, code: str, message: str) -> None:
-        self.records.append(_record(diag_code, code, message, self.scope))
-        self.ok = False
+    def problem(self, diag_code: str, code: str, message: str) -> NoReturn:
+        raise _Blocked(_record(diag_code, code, message, self.scope))
 
     def note(self, code: str, message: str) -> None:
-        self.records.append(
+        self.notes.append(
             _record("PYF407", code, message, self.scope, action="dropped")
         )
 
     # -- entry ---------------------------------------------------------
-    def run(self) -> Optional[Tuple[fe.Program, List[str]]]:
-        """The program and its parameters, or None if the def is blocked."""
+    def run(self) -> Tuple[fe.Program, List[str]]:
+        """The program and its parameters; raises :class:`_Blocked`."""
         node = self.node
         if node.decorator_list:
             self.problem(
@@ -272,8 +276,6 @@ class _Desugarer:
                 )
         body = self.body(node.body)
         self.check_loop_targets()
-        if not self.ok:
-            return None
         params: List[str] = []
         prologue: List[fe.Statement] = []
         for name in self.params:
@@ -308,14 +310,11 @@ class _Desugarer:
 
     def return_(self, stmt: ast.Return, out: List[fe.Statement]) -> None:
         value = None if _is_none(stmt.value) else self.expr(stmt.value)
-        if self.ok:
-            out.append(fe.Return(value))
+        out.append(fe.Return(value))
 
     def assign(self, stmt: ast.Assign, out: List[fe.Statement]) -> None:
         targets = [self.target(target) for target in stmt.targets]
         value = self.expr(stmt.value)
-        if not self.ok:
-            return
         if len(targets) > 1:
             # x = y = e: e once, then one assignment per target
             self.temp_counter += 1
@@ -327,9 +326,7 @@ class _Desugarer:
     def ann_assign(self, stmt: ast.AnnAssign, out: List[fe.Statement]) -> None:
         target = self.target(stmt.target)
         if stmt.value is not None:
-            value = self.expr(stmt.value)
-            if self.ok:
-                out.append(_store(target, value))
+            out.append(_store(target, self.expr(stmt.value)))
 
     def aug_assign(self, stmt: ast.AugAssign, out: List[fe.Statement]) -> None:
         target = self.target(stmt.target)
@@ -341,14 +338,12 @@ class _Desugarer:
                 f"{stmt.lineno}; only += -= *= //= %= lower",
             )
         value = self.expr(stmt.value)
-        if self.ok:
-            out.append(_store(target, fe.BinaryExpr(op, target, value)))
+        out.append(_store(target, fe.BinaryExpr(op, target, value)))
 
     def if_(self, stmt: ast.If, out: List[fe.Statement]) -> None:
         test = self.condition(stmt.test)
         body, orelse = self.body(stmt.body), self.body(stmt.orelse)
-        if self.ok:
-            out.append(fe.If(test, body, orelse))
+        out.append(fe.If(test, body, orelse))
 
     def while_(self, stmt: ast.While, out: List[fe.Statement]) -> None:
         test = self.condition(stmt.test)
@@ -358,8 +353,7 @@ class _Desugarer:
                 f"while-else at line {stmt.lineno} is not lowered",
             )
         body = self.loop_body(stmt.body)
-        if self.ok:
-            out.append(fe.WhileLoop(test, body, label=f"L{stmt.lineno}"))
+        out.append(fe.WhileLoop(test, body, label=f"L{stmt.lineno}"))
 
     def for_(self, stmt: ast.For, out: List[fe.Statement]) -> None:
         if stmt.orelse:
@@ -391,8 +385,6 @@ class _Desugarer:
                 "and list parameters are supported",
             )
         body = self.loop_body(stmt.body)
-        if not self.ok:
-            return
         # line-numbered headers phrase findings like the paper phrases
         # classifications: "(L12, 0, 1)" points at the source line
         label = f"L{stmt.lineno}"
@@ -430,7 +422,6 @@ class _Desugarer:
                 f"assert at line {stmt.lineno} is not a recognized "
                 "bound shape; dropped",
             )
-        if decoded is None or not self.ok:
             return
         name, relation, bound, is_len = decoded
         if is_len:
@@ -447,8 +438,7 @@ class _Desugarer:
                 f"{type(stmt).__name__.lower()} outside a loop at "
                 f"line {stmt.lineno}",
             )
-        elif self.ok:
-            out.append(fe.Break() if isinstance(stmt, ast.Break) else fe.Continue())
+        out.append(fe.Break() if isinstance(stmt, ast.Break) else fe.Continue())
 
     def pass_(self, stmt: ast.Pass, out: List[fe.Statement]) -> None:
         pass
@@ -470,10 +460,10 @@ class _Desugarer:
         ast.Pass: pass_,
     }
 
-    def target(self, node: ast.expr) -> Optional[fe.Expression]:
+    def target(self, node: ast.expr) -> fe.Expression:
         """An assignment target, as the value it reads before an update."""
         if isinstance(node, ast.Name):
-            return fe.Name(node.id) if self.ok else None
+            return fe.Name(node.id)
         if isinstance(node, ast.Subscript):
             return self.subscript(node)
         self.problem(
@@ -481,10 +471,9 @@ class _Desugarer:
             f"assignment target {_describe(node)}; only names and "
             "list subscripts are supported",
         )
-        return None
 
     # -- expressions ---------------------------------------------------
-    def expr(self, node: ast.expr) -> Optional[fe.Expression]:
+    def expr(self, node: ast.expr) -> fe.Expression:
         """The int expression ``node``; one frame per level of nesting."""
         kind = type(node)
         if kind is ast.Name:
@@ -505,7 +494,7 @@ class _Desugarer:
                     f"free variable {name!r} at line {node.lineno}; globals "
                     "and closures are not modeled",
                 )
-            return fe.Name(name) if self.ok else None
+            return fe.Name(name)
         if kind is ast.Constant:
             if type(node.value) not in (int, bool):
                 self.problem(
@@ -513,7 +502,7 @@ class _Desugarer:
                     f"literal {node.value!r} at line {node.lineno}; only "
                     "int and bool literals lower",
                 )
-            return fe.IntLit(int(node.value)) if self.ok else None
+            return fe.IntLit(int(node.value))
         if kind is ast.BinOp:
             op = _OPS.get(type(node.op))
             if op is None:
@@ -523,7 +512,7 @@ class _Desugarer:
                     f"{node.lineno}; only + - * // % lower",
                 )
             left, right = self.expr(node.left), self.expr(node.right)
-            return fe.BinaryExpr(op, left, right) if self.ok else None
+            return fe.BinaryExpr(op, left, right)
         if kind is ast.UnaryOp:
             if not isinstance(node.op, (ast.USub, ast.UAdd)):
                 self.problem(
@@ -531,10 +520,7 @@ class _Desugarer:
                     f"unary {type(node.op).__name__} at line {node.lineno} "
                     "is not an integer expression",
                 )
-                return None
             operand = self.expr(node.operand)
-            if not self.ok:
-                return None
             constant = _const_int(node)
             if constant is not None:
                 return fe.IntLit(constant)
@@ -549,7 +535,7 @@ class _Desugarer:
                     f"call {_describe(node)}; only len(list_param) and a "
                     "for-loop's range(...) are supported",
                 )
-            return fe.Name(array + LEN_SUFFIX) if self.ok else None
+            return fe.Name(array + LEN_SUFFIX)
         if kind is ast.Compare:
             if len(node.ops) > 1:
                 self.problem(
@@ -557,25 +543,22 @@ class _Desugarer:
                     f"chained comparison at line {node.lineno} used as a "
                     "value (supported only as a branch condition)",
                 )
-                return None
             # a single comparison, used as its 0/1 value
             left, right = self.expr(node.left), self.expr(node.comparators[0])
             relation = self.relation(node.ops[0], node)
-            return fe.CompareExpr(relation, left, right) if self.ok else None
+            return fe.CompareExpr(relation, left, right)
         self.problem(
             "PYF402", f"unsupported-expression:{kind.__name__}",
             f"unsupported expression {_describe(node)}",
         )
-        return None
 
-    def subscript(self, node: ast.Subscript) -> Optional[fe.Expression]:
+    def subscript(self, node: ast.Subscript) -> fe.Expression:
         if not isinstance(node.value, ast.Name):
             self.problem(
                 "PYF402", "unsupported-subscript-base",
                 f"subscript base {_describe(node.value)}; only list "
                 "parameters are subscriptable",
             )
-            return None
         array, index = node.value.id, node.slice
         if isinstance(index, ast.Slice):
             self.problem(
@@ -583,7 +566,6 @@ class _Desugarer:
                 f"slice of {array!r} at line {node.lineno}; only "
                 "single int indices are supported",
             )
-            return None
         constant = _const_int(index)
         if constant is not None and constant < 0:
             # a[-k]  ->  a[a$len - k]  (CPython raises for len(a) < k,
@@ -591,9 +573,9 @@ class _Desugarer:
             value = fe.BinaryExpr("-", fe.Name(array + LEN_SUFFIX), fe.IntLit(-constant))
         else:
             value = self.expr(index)
-        return fe.ArrayRef(array, (value,)) if self.ok else None
+        return fe.ArrayRef(array, (value,))
 
-    def relation(self, op: ast.cmpop, node: ast.Compare) -> Optional[str]:
+    def relation(self, op: ast.cmpop, node: ast.Compare) -> str:
         relation = _RELATIONS.get(type(op))
         if relation is None:
             self.problem(
@@ -603,14 +585,13 @@ class _Desugarer:
             )
         return relation
 
-    def condition(self, node: ast.expr) -> Optional[fe.Condition]:
+    def condition(self, node: ast.expr) -> fe.Condition:
         if isinstance(node, ast.BoolOp):
             values = [self.condition(value) for value in node.values]
             op = "and" if isinstance(node.op, ast.And) else "or"
-            return _chain(op, values) if self.ok else None
+            return _chain(op, values)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
-            operand = self.condition(node.operand)
-            return fe.NotExpr(operand) if self.ok else None
+            return fe.NotExpr(self.condition(node.operand))
         if isinstance(node, ast.Compare):
             # a < b < c  ->  a < b and b < c  (b is pure: printed twice)
             operands = [self.expr(node.left)]
@@ -618,15 +599,11 @@ class _Desugarer:
             for op, comparator in zip(node.ops, node.comparators):
                 relations.append(self.relation(op, node))
                 operands.append(self.expr(comparator))
-            if not self.ok:
-                return None
             return _chain("and", [
                 fe.CompareExpr(relation, lhs, rhs)
                 for relation, lhs, rhs in zip(relations, operands, operands[1:])
             ])
         value = self.expr(node)
-        if not self.ok:
-            return None
         if isinstance(node, ast.Constant) or _const_int(node) is not None:
             # e.g. "while True:" -- an unconditional edge, not a Compare,
             # so the loop lowers to the paper's loop/endloop shape
@@ -763,8 +740,9 @@ def compile_function(
 
     One walk of the def (:func:`~repro.pyfront.typeinfer.walk_def`) infers
     kinds and feeds the loop-variable check (which walks only each loop's
-    own subtree); one recursive walk (:class:`_Desugarer`) records every
-    problem and desugars the def.  An expression nested deeper than that
+    own subtree); one recursive walk (:class:`_Desugarer`) desugars the
+    def and stops at its first blocking construct, the one record a
+    skipped function carries.  An expression nested deeper than that
     walk or lowering can follow degrades the function with PYF402, as the
     loop language's parser reports it.
     """
@@ -778,11 +756,11 @@ def compile_function(
     )
     try:
         desugarer = _Desugarer(node, nodes, kinds, scope)
-        desugared = desugarer.run()
-        compiled.degradations.extend(desugarer.records)
-        if desugared is not None:
-            program, params = desugared
-            compiled.function = lower_ast(program, node.name, params)
+        program, params = desugarer.run()
+        compiled.function = lower_ast(program, node.name, params)
+        compiled.degradations.extend(desugarer.notes)
+    except _Blocked as blocked:
+        compiled.degradations.append(blocked.record)
     except RecursionError:
         compiled.degradations.append(_too_deep(scope))
     except Exception as error:  # noqa: BLE001 - total-ingestion contract

@@ -1,10 +1,12 @@
-"""Graceful degradation: every unsupported construct gets a PYF4xx record."""
+"""Graceful degradation: a def is skipped with the PYF4xx record of its
+first unsupported construct."""
 
+import ast
 import textwrap
 
 import pytest
 
-from repro.pyfront.lower import compile_module
+from repro.pyfront.lower import _Desugarer, compile_module
 
 
 def degrade_codes(source, name=None):
@@ -100,19 +102,54 @@ def test_null_byte_source_never_raises():
     assert module.error.diag_code == "PYF406"
 
 
-def test_validator_reports_all_problems_not_just_first():
-    codes = degrade_codes(
-        """
-        def f(x):
-            y = x * 0.5
-            try:
-                return y
-            except Exception:
-                return 0
-        """
+def test_walk_reports_only_the_first_problem():
+    # the Try statement after the float literal is never visited
+    module = compile_module(
+        textwrap.dedent(
+            """
+            def f(x):
+                y = x * 0.5
+                try:
+                    return y
+                except Exception:
+                    return 0
+            """
+        ),
+        origin="deg.py",
     )
-    diags = {diag for diag, _ in codes}
-    assert {"PYF401", "PYF402"} <= diags
+    (cf,) = module.functions
+    assert cf.function is None
+    assert [(d.diag_code, d.code, d.message) for d in cf.degradations] == [
+        (
+            "PYF402",
+            "non-int-literal",
+            "literal 0.5 at line 3; only int and bool literals lower",
+        )
+    ]
+
+
+def test_walk_stops_at_the_first_blocker(monkeypatch):
+    # a statement after the blocker that would crash the walk is never
+    # reached, so the def reports the blocker, not PYF401 internal-error
+    def crash(self, stmt, out):
+        raise RuntimeError("walked past the first blocker")
+
+    monkeypatch.setitem(_Desugarer.STATEMENTS, ast.Pass, crash)
+    source = "def f(x):\n    y = x * 0.5\n    pass\n    return y\n"
+    assert degrade_codes(source) == [("PYF402", "non-int-literal")]
+    # the patched statement alone does crash it
+    crashed = degrade_codes("def f(x):\n    pass\n    return x\n")
+    assert crashed == [("PYF401", "internal-error")]
+
+
+def test_assert_notes_only_on_functions_that_lower():
+    source = "def f(x):\n    assert x\n    return x{}\n"
+    (lowered,) = compile_module(source.format(""), origin="a.py").functions
+    assert lowered.ok
+    assert [(d.diag_code, d.code) for d in lowered.degradations] == [
+        ("PYF407", "assert-dropped")
+    ]
+    assert degrade_codes(source.format(" * 0.5")) == [("PYF402", "non-int-literal")]
 
 
 def test_one_bad_function_does_not_poison_siblings():

@@ -1,14 +1,18 @@
 """Corpus driver: pylint_paths end-to-end over the committed mini-corpus."""
 
+import ast
 import json
 import os
+from collections import Counter
 
 import pytest
 
+from perfbench.analysis import _compile, _first_blocker, _function_defs
 from repro.diagnostics import DiagnosticCollector, Severity
 from repro.obs import runlog
 from repro.obs.aggregate import aggregate, load_records, validate_record
 from repro.pyfront import pylint_paths, render_corpus_json, render_corpus_text
+from repro.pyfront.driver import blocked_rollup
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -132,3 +136,44 @@ def test_degraded_functions_get_skip_records(tmp_path):
     for record in records:
         assert validate_record(record) is None
         assert record["degradations"]
+
+
+def test_blocked_rollup_is_pinned(corpus_result):
+    # one line per first-blocking code: most functions first, then by code
+    rollup = render_corpus_text(corpus_result).split("== blocked ==\n")[1]
+    assert rollup.replace(CORPUS + os.sep, "").splitlines() == [
+        "      2  PYF402 non-int-literal  e.g. degrade.py:10 uses_strings",
+        "      2  PYF402 unsupported-call  e.g. degrade.py:15 uses_dict",
+        "      1  PYF404 kind-conflict  e.g. degrade.py:26 list_builder",
+        "      1  PYF405 loop-variable-read-after-loop  e.g. degrade.py:34 reads_loop_var",
+        "      1  PYF403 unsupported-signature  e.g. degrade.py:43 keyword_only",
+        "      1  PYF401 unsupported-statement:Try  e.g. degrade.py:48 with_docstring_and_try",
+        "      1  PYF401 unsupported-target  e.g. degrade.py:20 tuple_swap",
+    ]
+    assert json.loads(render_corpus_json(corpus_result))["blocked"] == {
+        "kind-conflict": 1,
+        "loop-variable-read-after-loop": 1,
+        "non-int-literal": 2,
+        "unsupported-call": 2,
+        "unsupported-signature": 1,
+        "unsupported-statement:Try": 1,
+        "unsupported-target": 1,
+    }
+
+
+def test_blocked_rollup_matches_the_benchmark_view(corpus_result):
+    # summed by diag_code, the rollup is perfbench's pyfront.blocked.*
+    expected = Counter()
+    for name in sorted(os.listdir(CORPUS)):
+        if name.endswith(".py"):
+            with open(os.path.join(CORPUS, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for qualname, node in _function_defs(tree):
+                compiled = _compile(node, qualname, name)
+                if not compiled.ok:
+                    expected[_first_blocker(compiled)] += 1
+    by_diag = Counter()
+    for count, example in blocked_rollup(corpus_result).values():
+        by_diag[example.blocker.diag_code] += count
+    assert by_diag == expected
+    assert sum(by_diag.values()) == corpus_result.degraded

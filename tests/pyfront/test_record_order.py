@@ -1,11 +1,11 @@
-"""The order of a degraded def's ``PYF4xx`` records, shape by shape.
+"""Which ``PYF4xx`` record a degraded def carries, shape by shape.
 
-One walk both records a def's problems and desugars it, and for these
-shapes the order in which it records differs from the order in which it
-builds: each def below has at least two problems, and its exact
-``(diag_code, code)`` sequence is pinned.  The compile and pylint
-goldens catch a reordering too, but only as a changed sha256; a failure
-here names the shape.
+One walk both desugars a def and stops at its first problem, and for
+these shapes the order in which it checks differs from the order in
+which it builds: each def below has at least two problems (their walk
+order is in the comment), and the one record it carries, the first of
+them, is pinned.  The first-blocker golden catches a change too, but
+only as a changed sha256; a failure here names the shape.
 """
 
 import textwrap
@@ -21,11 +21,12 @@ CASES = {
         def assign(n):
             n.x = n.y[1:2] = "s"
         """,
-        [
-            ("PYF401", "unsupported-target"),
-            ("PYF402", "unsupported-subscript-base"),
-            ("PYF402", "non-int-literal"),
-        ],
+        (
+            "PYF401",
+            "unsupported-target",
+            "assignment target Attribute (line 3); only names and list "
+            "subscripts are supported",
+        ),
     ),
     # the target, then the operator, then the value
     "augassign": (
@@ -33,11 +34,12 @@ CASES = {
         def augassign(n):
             n.x **= "s"
         """,
-        [
-            ("PYF401", "unsupported-target"),
-            ("PYF401", "unsupported-augassign"),
-            ("PYF402", "non-int-literal"),
-        ],
+        (
+            "PYF401",
+            "unsupported-target",
+            "assignment target Attribute (line 3); only names and list "
+            "subscripts are supported",
+        ),
     ),
     # the else clause, the target, the range arguments, the step, the body
     "for": (
@@ -48,15 +50,11 @@ CASES = {
             else:
                 pass
         """,
-        [
-            ("PYF401", "loop-else"),
-            ("PYF401", "unsupported-loop-target"),
-            ("PYF402", "unsupported-expression:Attribute"),
-            ("PYF402", "non-int-literal"),
-            ("PYF402", "unsupported-expression:Attribute"),
-            ("PYF401", "non-constant-range-step"),
-            ("PYF402", "non-int-literal"),
-        ],
+        (
+            "PYF401",
+            "loop-else",
+            "for-else at line 3 is not lowered",
+        ),
     ),
     # the test, then the else clause, then the body
     "while": (
@@ -67,11 +65,11 @@ CASES = {
             else:
                 pass
         """,
-        [
-            ("PYF402", "unsupported-expression:Attribute"),
-            ("PYF401", "loop-else"),
-            ("PYF402", "non-int-literal"),
-        ],
+        (
+            "PYF402",
+            "unsupported-expression:Attribute",
+            "unsupported expression Attribute (line 3)",
+        ),
     ),
     # the left operand, then each relation with its comparator
     "chained-compare": (
@@ -80,13 +78,11 @@ CASES = {
             if n.x is "a" in n.y:
                 return 0
         """,
-        [
-            ("PYF402", "unsupported-expression:Attribute"),
-            ("PYF402", "unsupported-comparison:Is"),
-            ("PYF402", "non-int-literal"),
-            ("PYF402", "unsupported-comparison:In"),
-            ("PYF402", "unsupported-expression:Attribute"),
-        ],
+        (
+            "PYF402",
+            "unsupported-expression:Attribute",
+            "unsupported expression Attribute (line 3)",
+        ),
     ),
     # the operator, then the left operand, then the right one
     "binop": (
@@ -94,11 +90,11 @@ CASES = {
         def binop(n):
             return n.x @ "s"
         """,
-        [
-            ("PYF402", "unsupported-operator:MatMult"),
-            ("PYF402", "unsupported-expression:Attribute"),
-            ("PYF402", "non-int-literal"),
-        ],
+        (
+            "PYF402",
+            "unsupported-operator:MatMult",
+            "operator MatMult at line 3; only + - * // % lower",
+        ),
     ),
 }
 
@@ -108,4 +104,6 @@ def test_records_come_in_walk_order(shape):
     source, expected = CASES[shape]
     (compiled,) = compile_module(textwrap.dedent(source), origin="order.py").functions
     assert not compiled.ok
-    assert [(d.diag_code, d.code) for d in compiled.degradations] == expected
+    assert [
+        (d.diag_code, d.code, d.message) for d in compiled.degradations
+    ] == [expected]

@@ -2,7 +2,7 @@
 
 ``typeinfer.walk`` must yield exactly ``list(ast.walk(root))`` (same
 nodes by identity, same breadth-first order: the first reason a PYF404
-message names and the order of PYF405 records depend on it), and the
+message names and which PYF405 record comes first depend on it), and the
 statement-only ``_function_defs`` must find exactly the defs the old
 recursive search over every node found.
 
