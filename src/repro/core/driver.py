@@ -143,20 +143,19 @@ class RegionContext:
         )
 
     def phi_split(self, phi: Phi) -> Tuple[Value, Value]:
-        """Split a loop-header phi into (initial, loop-carried) values."""
-        init = None
-        carried = None
-        for pred, value in phi.incoming.items():
-            if pred in self.loop.body:
-                carried = value
-            else:
-                init = value
-        if init is None or carried is None:
+        """Split a loop-header phi into (initial, loop-carried) values.
+
+        More than one of either raises: keeping one would be unsound.
+        """
+        body = self.loop.body
+        inits = [value for pred, value in phi.incoming.items() if pred not in body]
+        carried = [value for pred, value in phi.incoming.items() if pred in body]
+        if len(inits) != 1 or len(carried) != 1:
             raise ValueError(
                 f"header phi %{phi.result} of {self.header} is not in "
                 "canonical preheader/latch form (run simplify_loops)"
             )
-        return init, carried
+        return inits[0], carried[0]
 
     # -- operand classification -------------------------------------------
     def operand_class(self, value: Value) -> Classification:

@@ -2,11 +2,13 @@
 
 :func:`lint_source` takes one loop-language program through the full
 pipeline with the sanitizer active, verifies the resulting SSA, and runs
-the semantic lints.  :func:`lint_paths` extends that to files and
-directories: ``*.loop`` files are linted directly, and ``*.py`` files are
-*harvested* -- every string constant that parses as a loop-language
-program containing a loop (the repo's ``examples/`` embed their programs
-that way) becomes a lint target labelled ``file.py:LINE``.
+the semantic lints; :func:`lint_analyzed` is that findings step alone,
+which ``repro pylint`` also runs on each lowered Python function.
+:func:`lint_paths` extends that to files and directories: ``*.loop``
+files are linted directly, and ``*.py`` files are *harvested* -- every
+string constant that parses as a loop-language program containing a loop
+(the repo's ``examples/`` embed their programs that way) becomes a lint
+target labelled ``file.py:LINE``.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.diagnostics.diagnostic import Diagnostic, DiagnosticCollector
-from repro.diagnostics.lints import DEFAULT_SAMPLES, lint_program
+from repro.diagnostics.lints import DEFAULT_SAMPLES, lint_lattice, lint_program
+from repro.diagnostics.lints import lint_source as lint_src
 from repro.diagnostics.sanitizer import sanitizing
 from repro.diagnostics.verifier import verify_collect
+from repro.resilience.isolation import diagnostics_of
 
 
 @dataclass(frozen=True)
@@ -66,36 +70,46 @@ def lint_source(
             )
     except Exception as error:
         local.emit("LNT001", f"analysis failed: {error}")
-        return _publish(local, out, origin)
+    else:
+        lint_analyzed(program, local, execution, samples, ranges, invariants)
+    return _publish(local, out, origin)
 
-    seen = {(d.code, d.message) for d in local}
+
+def lint_analyzed(
+    program,
+    collector: DiagnosticCollector,
+    execution: bool = True,
+    samples: Sequence[int] = DEFAULT_SAMPLES,
+    ranges: bool = False,
+    invariants: bool = False,
+) -> None:
+    """:func:`lint_source`'s findings step, on an analyzed program.
+
+    Verifier findings ``collector`` already holds are not added twice;
+    ``execution=False`` keeps to the static lints.
+    """
+    seen = {(d.code, d.message) for d in collector}
     for diagnostic in verify_collect(program.ssa, ssa=True):
         if (diagnostic.code, diagnostic.message) not in seen:
-            local.diagnostics.append(diagnostic)
+            collector.diagnostics.append(diagnostic)
 
-    if program.degradations:
-        from repro.resilience.isolation import diagnostics_of
-
-        diagnostics_of(program.degradations, local)
+    diagnostics_of(program.degradations, collector)
 
     if execution:
-        lint_program(program, collector=local, samples=samples)
+        lint_program(program, collector=collector, samples=samples)
     else:
-        from repro.diagnostics.lints import lint_lattice, lint_source as lint_src
-
-        lint_lattice(program, local)
-        lint_src(program, local)
+        lint_lattice(program, collector)
+        lint_src(program, collector)
 
     if ranges and program.result.ranges is not None:
         from repro.ranges import check_ranges
 
-        check_ranges(program.result, program.result.ranges, local)
+        check_ranges(program.result, program.result.ranges, collector)
 
     if invariants and program.result.invariants is not None:
         from repro.invariants import check_invariants
 
-        check_invariants(program, local, samples=samples)
-    return _publish(local, out, origin)
+        check_invariants(program, collector, samples=samples)
 
 
 def _publish(

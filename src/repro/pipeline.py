@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.dominators import DominatorTree, dominator_tree
 from repro.analysis.loops import LoopNest, find_loops
@@ -202,28 +202,14 @@ def analyze(
         except Exception as error:  # noqa: BLE001 - FrontendError re-raises
             _isolation.absorb(error, "frontend", diag_code="RES505")
             return _degraded_program(source, name, log)
-        try:
-            # an overrun lowering degrades here, keeping the named IR (the
-            # loop-simplify boundary below re-lowers, so it cannot host it)
-            _budget.check_request_deadline("analysis.loop-simplify")
-        except Exception as error:  # noqa: BLE001 - whole-function boundary
-            _isolation.absorb(error, "analysis.loop-simplify", diag_code="RES505")
-            return _degraded_from_named(named, source, log)
-        try:
-            simplify_loops(named)
-        except Exception as error:  # noqa: BLE001
-            _isolation.absorb(
-                error,
-                "analysis.loop-simplify",
-                action="skipped",
-                diag_code="RES502",
-            )
-            # simplify_loops mutates in place: re-lower to discard any
-            # half-canonicalized CFG and analyze the raw form instead
-            named = lower_program(program, name=name)
-        sanitizer.checkpoint(named, "simplify-loops", ssa=False)
         return _analyze_function(
-            named, source, optimize, log, ranges=ranges, invariants=invariants
+            named,
+            lambda: lower_program(program, name=name),
+            source,
+            optimize,
+            log,
+            ranges,
+            invariants,
         )
 
 
@@ -237,15 +223,22 @@ def analyze_function(
     ranges: bool = False,
     invariants: bool = False,
 ) -> AnalyzedProgram:
-    """Run SSA construction + classification on named IR.
+    """Canonicalize loops, then run SSA construction + classification.
 
-    ``named`` is kept intact (a clone is converted to SSA).  The
-    sanitizer, failure isolation, strict mode, budgets, and the optional
-    phases work as in :func:`analyze`.
+    ``named`` is kept intact: a clone is canonicalized and converted to
+    SSA, and becomes the result's ``named_ir``.  The sanitizer, failure
+    isolation, strict mode, budgets, and the optional phases work as in
+    :func:`analyze`.
     """
     with _analysis_scope(sanitize, strict, budget) as log:
         return _analyze_function(
-            named, source, optimize, log, ranges=ranges, invariants=invariants
+            clone_function(named),
+            lambda: clone_function(named),
+            source,
+            optimize,
+            log,
+            ranges,
+            invariants,
         )
 
 
@@ -413,20 +406,39 @@ def _next_round_is_noop(ssa: Function, lattice) -> bool:
 
 def _analyze_function(
     named: Function,
+    raw: Callable[[], Function],
     source: Optional[str],
     optimize: bool,
-    log: Optional[_isolation.DegradationLog] = None,
-    ranges: bool = False,
-    invariants: bool = False,
+    log: _isolation.DegradationLog,
+    ranges: bool,
+    invariants: bool,
 ) -> AnalyzedProgram:
-    if log is None:
-        log = _isolation.DegradationLog()
+    """Canonicalize ``named``'s loops in place, then analyze it.
+
+    Canonical loops give each header phi the one initial and one
+    loop-carried value the classifier reads (section 3.1).  Past the
+    deadline the function degrades here (RES505).  A failing
+    canonicalization is skipped (RES502) and ``raw()``, the IR rebuilt
+    uncanonicalized, is analyzed instead.
+    """
+    try:
+        _budget.check_request_deadline("analysis.loop-simplify")
+    except Exception as error:  # noqa: BLE001 - whole-function boundary
+        _isolation.absorb(error, "analysis.loop-simplify", diag_code="RES505")
+        return _degraded_from_named(named, source, log)
+    try:
+        simplify_loops(named)
+    except Exception as error:  # noqa: BLE001 - phase boundary
+        _isolation.absorb(
+            error, "analysis.loop-simplify", action="skipped", diag_code="RES502"
+        )
+        named = raw()
+    sanitizer.checkpoint(named, "simplify-loops", ssa=False)
 
     expr_cache = _metrics.CacheDelta("expr.cache", expr_cache_stats)
-
     try:
-        # an overrun loop simplification (or a front end run before
-        # ``analyze_function``) degrades here, before SSA construction
+        # an overrun loop simplification degrades here, before SSA
+        # construction
         _budget.check_request_deadline("ssa.construct")
         ssa = clone_function(named)
         ssa_info = construct_ssa(ssa)

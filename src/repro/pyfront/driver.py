@@ -65,14 +65,6 @@ class CorpusResult:
         return self.collector.sorted()
 
 
-def _publish(
-    local: DiagnosticCollector, out: DiagnosticCollector, origin: str
-) -> None:
-    out.extend(
-        d.with_origin(origin) if d.origin is None else d for d in local
-    )
-
-
 def _skip_record(cf: CompiledFunction) -> Dict[str, Any]:
     """A flight-recorder record for a function that never lowered.
 
@@ -108,53 +100,35 @@ def _loop_rows(program) -> List[Dict[str, Any]]:
 
 def _analyze_compiled(
     cf: CompiledFunction,
-    out: DiagnosticCollector,
+    collector: DiagnosticCollector,
+    *,
     ranges: bool,
     invariants: bool,
     budget,
 ) -> FunctionOutcome:
-    """Full pipeline over one lowered function; never raises."""
-    from repro.analysis.loopsimplify import simplify_loops
-    from repro.diagnostics.lints import lint_lattice
-    from repro.diagnostics.lints import lint_source as lint_src
-    from repro.diagnostics.verifier import verify_collect
-    from repro.ir.clone import clone_function
+    """Full pipeline over one lowered function, then ``repro lint``'s
+    findings step (:func:`~repro.diagnostics.driver.lint_analyzed`)."""
+    from repro.diagnostics.driver import lint_analyzed
     from repro.obs import runlog
     from repro.pipeline import analyze_function
     from repro.resilience.isolation import diagnostics_of
 
-    local = DiagnosticCollector()
-    if cf.degradations:
-        diagnostics_of(cf.degradations, local, origin=cf.origin, hint=_HINT)
-    named = clone_function(cf.function)
-    try:
-        simplify_loops(named)
-    except Exception:  # noqa: BLE001 - analyze the raw shape instead
-        named = clone_function(cf.function)
+    local = diagnostics_of(cf.degradations, origin=cf.origin, hint=_HINT)
     with runlog.origin(cf.origin), runlog.source_lang("python"):
         program = analyze_function(
-            named,
+            cf.function,
             source=cf.source,
             ranges=ranges,
             invariants=invariants,
             budget=budget,
         )
-    seen = {(d.code, d.message) for d in local}
-    for diagnostic in verify_collect(program.ssa, ssa=True):
-        if (diagnostic.code, diagnostic.message) not in seen:
-            local.diagnostics.append(diagnostic)
-    if program.degradations:
-        diagnostics_of(program.degradations, local)
-    # static lints only: execution lints re-interpret every sample, which
-    # a corpus-scale walk cannot afford (and the differential oracle
-    # already holds lowering to CPython semantics)
-    lint_lattice(program, local)
-    lint_src(program, local)
-    if ranges and program.result.ranges is not None:
-        from repro.ranges import check_ranges
-
-        check_ranges(program.result, program.result.ranges, local)
-    _publish(local, out, cf.origin)
+    # static lints only, and no invariant replay: both re-interpret every
+    # sample, which a corpus-scale walk cannot afford (and the
+    # differential oracle already holds lowering to CPython semantics)
+    lint_analyzed(program, local, execution=False, ranges=ranges)
+    collector.extend(
+        d.with_origin(cf.origin) if d.origin is None else d for d in local
+    )
     return FunctionOutcome(
         origin=cf.origin,
         qualname=cf.qualname,
@@ -211,7 +185,11 @@ def pylint_paths(
                 if cf.ok:
                     try:
                         outcome = _analyze_compiled(
-                            cf, result.collector, ranges, invariants, budget
+                            cf,
+                            result.collector,
+                            ranges=ranges,
+                            invariants=invariants,
+                            budget=budget,
                         )
                     except Exception as error:  # noqa: BLE001 - contract
                         result.collector.emit(

@@ -155,8 +155,6 @@ def _run_python_job(
     """
     try:
         with observing(), runlog.source_lang("python"):
-            from repro.analysis.loopsimplify import simplify_loops
-            from repro.ir.clone import clone_function
             from repro.pipeline import analyze_function
             from repro.pyfront.lower import compile_module
 
@@ -190,13 +188,8 @@ def _run_python_job(
                     record["functions"]["degraded"] += 1
                     degraded = True
                     continue
-                named = clone_function(compiled.function)
-                try:
-                    simplify_loops(named)
-                except Exception:  # noqa: BLE001 - analyze the raw shape
-                    named = clone_function(compiled.function)
                 program = analyze_function(
-                    named,
+                    compiled.function,
                     source=compiled.source,
                     optimize=bool(options.get("optimize", True)),
                     budget=budget,

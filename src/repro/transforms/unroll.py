@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.loopsimplify import simplify_loops
-from repro.ir.clone import clone_function
 from repro.diagnostics.sanitizer import checkpoint
 from repro.ir.function import Function, IRError
 from repro.resilience.budget import unroll_cap
@@ -41,7 +40,7 @@ def fully_unroll(
     from repro.pipeline import analyze_function
 
     fault_point("transform.unroll")
-    probe = analyze_function(clone_function(function))
+    probe = analyze_function(function)
     if header not in probe.result.loops:
         raise IRError(f"no loop headed at {header!r}")
     trip = probe.result.trip_count(header)

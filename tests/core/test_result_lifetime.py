@@ -235,7 +235,9 @@ def _python_units():
 
     def one_function(compiled):
         """``repro pylint``'s step for one lowered function."""
-        return _analyze_compiled(compiled, DiagnosticCollector(), True, True, None)
+        return _analyze_compiled(
+            compiled, DiagnosticCollector(), ranges=True, invariants=True, budget=None
+        )
 
     roots = [CORPUS, os.path.join(ROOT, "perfbench", "data"), os.path.join(ROOT, "src", "repro")]
     for path in discover_files(roots, (".py",)):

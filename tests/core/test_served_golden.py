@@ -35,8 +35,6 @@ import os
 import pytest
 
 from perfbench.inputs import chain_pass, mixed_pass
-from repro.analysis.loopsimplify import simplify_loops
-from repro.ir.clone import clone_function
 from repro.obs import jsonl_lines, observing
 from repro.obs.runlog import build_record, source_lang
 from repro.pipeline import analyze, analyze_function
@@ -97,13 +95,8 @@ def _analyze_dsl(source):
 
 
 def _analyze_python(compiled):
-    named = clone_function(compiled.function)
-    try:
-        simplify_loops(named)
-    except Exception:  # noqa: BLE001 - the worker analyzes the raw shape
-        named = clone_function(compiled.function)
     program = analyze_function(
-        named,
+        compiled.function,
         source=compiled.source,
         optimize=True,
         budget=BUDGET,

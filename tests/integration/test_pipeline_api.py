@@ -1,11 +1,16 @@
 """Tests for the public pipeline API (AnalyzedProgram and friends)."""
 
+import os
+
 import pytest
 
 import repro
 from repro import analyze
+from repro.diagnostics.driver import collect_targets
+from repro.frontend.lower import lower_program
+from repro.frontend.parser import parse_program
+from repro.ir.printer import print_function
 from repro.pipeline import analyze_function
-from repro.frontend.source import compile_source
 
 SOURCE = """
 s = 0
@@ -15,6 +20,28 @@ L1: for i = 1 to n do
 endfor
 return s
 """
+
+#: ``continue`` gives L1 two latches: only canonical loops classify ``i``
+#: as branch-dependent with steps {1, 2} rather than as an IV of step 1
+CONTINUE_LOOP = """
+i = 0
+j = 0
+L1: while i < n do
+  if i > 3 then
+    j = j + 1
+    i = i + 1
+    continue
+  endif
+  i = i + 2
+endwhile
+"""
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
+ENTRY_POINT_INPUTS = {"source": SOURCE, "continue-loop": CONTINUE_LOOP}
+ENTRY_POINT_INPUTS.update(
+    (os.path.relpath(target.origin, EXAMPLES), target.source)
+    for target in collect_targets([EXAMPLES])
+)
 
 
 class TestPublicAPI:
@@ -58,11 +85,17 @@ class TestPublicAPI:
         name = program.ssa_name("i", "L1")
         assert program.classification(name).describe() == "(L1, 1, 1)"
 
-    def test_analyze_function_entry_point(self):
-        named = compile_source(SOURCE)
+    @pytest.mark.parametrize("case", sorted(ENTRY_POINT_INPUTS))
+    def test_analyze_function_entry_point(self, case):
+        """From raw lowered IR, the same classes as ``analyze()``; the
+        argument is left as it was."""
+        source = ENTRY_POINT_INPUTS[case]
+        named = lower_program(parse_program(source))
+        printed = print_function(named)
         program = analyze_function(named)
         assert program.source is None
-        assert "L1" in program.result.loops
+        assert program.describe_all() == analyze(source).describe_all()
+        assert print_function(named) == printed
 
     def test_optimize_flag(self):
         unopt = analyze(SOURCE, optimize=False)

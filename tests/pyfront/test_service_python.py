@@ -7,8 +7,6 @@ request field.
 
 import pytest
 
-from repro.analysis.loopsimplify import simplify_loops
-from repro.ir.clone import clone_function
 from repro.obs.aggregate import validate_record
 from repro.obs.runlog import build_record
 from repro.pipeline import analyze_function
@@ -70,9 +68,9 @@ class TestRunJobPython:
         for compiled in compile_module(source, origin="<python>").functions:
             if not compiled.ok:
                 continue
-            named = clone_function(compiled.function)
-            simplify_loops(named)
-            part = build_record(analyze_function(named, source=compiled.source))
+            part = build_record(
+                analyze_function(compiled.function, source=compiled.source)
+            )
             loops += part["loops"]
             for total, key in ((classes, "classes"), (blocked, "blocked")):
                 for name, count in part[key].items():

@@ -29,8 +29,6 @@ import os
 import pytest
 
 from perfbench.inputs import chain_pass, mixed_pass
-from repro.analysis.loopsimplify import simplify_loops
-from repro.ir.clone import clone_function
 from repro.pipeline import analyze, analyze_function
 from repro.pyfront.lower import compile_module
 
@@ -38,15 +36,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
 COMMITTED_SEEDS = (1, 2, 3)
 MAIN_SEEDS = tuple(range(1, 11))
-
-
-def _python_named(function):
-    named = clone_function(function)
-    try:
-        simplify_loops(named)
-    except Exception:  # noqa: BLE001 - the corpus driver's fallback
-        named = clone_function(function)
-    return named
 
 
 def _cases(seeds):
@@ -78,7 +67,7 @@ def range_info(case):
     if kind == "dsl":
         program = analyze(payload, ranges=True)
     else:
-        program = analyze_function(_python_named(payload), ranges=True)
+        program = analyze_function(payload, ranges=True)
     return program.result.ranges
 
 

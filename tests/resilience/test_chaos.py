@@ -4,7 +4,9 @@ The contract under test is the tentpole guarantee: **no single injected
 fault can make ``analyze()`` escape with an exception** -- the result is
 always a structurally valid :class:`~repro.pipeline.AnalyzedProgram`
 where every SSA name still answers ``classification_of`` (possibly
-``Unknown``) and the containment is visible in ``degradations``.
+``Unknown``) and the containment is visible in ``degradations``.  The
+same holds for ``analyze_function()`` over every lowered function of the
+Python mini-corpus.
 
 ``CHAOS_SEED=<int>`` narrows the seeded sweep to one seed (CI runs the
 three defaults in separate jobs).
@@ -14,13 +16,28 @@ import os
 
 import pytest
 
-from repro.diagnostics.driver import collect_targets
-from repro.pipeline import AnalyzedProgram, analyze
+from repro.diagnostics.driver import collect_targets, discover_files
+from repro.pipeline import AnalyzedProgram, analyze, analyze_function
+from repro.pyfront.driver import pylint_paths
+from repro.pyfront.lower import compile_module
 from repro.resilience.errors import InjectedFault
 from repro.resilience.faultinject import FAULT_POINTS, FaultPlan, injecting
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 CORPUS = collect_targets([EXAMPLES])
+PY_CORPUS = os.path.join(os.path.dirname(__file__), "..", "pyfront", "corpus")
+
+
+def _lowered_functions():
+    functions = []
+    for path in discover_files([PY_CORPUS], (".py",)):
+        with open(path, encoding="utf-8") as handle:
+            module = compile_module(handle.read(), origin=path)
+        functions.extend(cf for cf in module.functions if cf.ok)
+    return functions
+
+
+PY_FUNCTIONS = _lowered_functions()
 
 DEFAULT_SEEDS = [101, 202, 303, 404]
 SEEDS = (
@@ -43,8 +60,24 @@ def assert_valid(program, origin):
 
 
 def test_corpus_is_substantial():
-    # the harvest must keep finding the embedded example programs
+    # the harvest must keep finding the embedded example programs, and
+    # the Python mini-corpus must keep lowering
     assert len(CORPUS) >= 10
+    assert len(PY_FUNCTIONS) >= 20
+
+
+def assert_contained(point, run, origin):
+    """Arm ``point`` at full rate around ``run()``: a valid program that
+    records every fault that fired."""
+    with injecting(FaultPlan(points={point})) as plan:
+        program = run()
+    assert_valid(program, origin)
+    if plan.fired:
+        assert program.degraded, (point, origin)
+        assert any(
+            record.code in ("injected-fault", "internal-error")
+            for record in program.degradations
+        ), (point, origin)
 
 
 @pytest.mark.parametrize("point", sorted(FAULT_POINTS))
@@ -52,15 +85,36 @@ def test_single_point_never_escapes_analyze(point):
     """Arm one point at full rate over the whole corpus: no escape."""
     for target in CORPUS:
         # every optional phase on, so every fault point is reachable
-        with injecting(FaultPlan(points={point})) as plan:
-            program = analyze(target.source, ranges=True, invariants=True)
-        assert_valid(program, target.origin)
-        if plan.fired:
-            assert program.degraded, (point, target.origin)
-            assert any(
-                record.code in ("injected-fault", "internal-error")
-                for record in program.degradations
-            ), (point, target.origin)
+        assert_contained(
+            point,
+            lambda: analyze(target.source, ranges=True, invariants=True),
+            target.origin,
+        )
+
+
+@pytest.mark.parametrize("point", sorted(FAULT_POINTS))
+def test_single_point_never_escapes_analyze_function(point):
+    """The same contract over the lowered Python functions."""
+    for cf in PY_FUNCTIONS:
+        assert_contained(
+            point,
+            lambda: analyze_function(
+                cf.function, source=cf.source, ranges=True, invariants=True
+            ),
+            cf.origin,
+        )
+
+
+def test_pylint_reports_each_skipped_loop_canonicalization():
+    """A failed canonicalization is one RES502 per lowered function."""
+    with injecting(FaultPlan(points={"analysis.loop-simplify"})):
+        result = pylint_paths([PY_CORPUS])
+    skipped = [
+        d for d in result.findings
+        if d.code == "RES502" and d.stage == "analysis.loop-simplify"
+    ]
+    assert result.lowered == len(PY_FUNCTIONS)
+    assert len(skipped) == result.lowered
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.classes import InductionVariable, Unknown
 from repro.core.driver import DegradedLoopSummary
 from repro.core.tripcount import TripCountKind
 from repro.pipeline import AnalyzedProgram, analyze
@@ -14,6 +15,20 @@ x = 0
 L1: while i < 10 do
   x = x + i
   i = i + 1
+endwhile
+"""
+
+#: ``continue`` gives L1 two latches; ``i`` takes 0, 2, 4, 5, 6, ...
+CONTINUE_SRC = """
+i = 0
+j = 0
+L1: while i < n do
+  if i > 3 then
+    j = j + 1
+    i = i + 1
+    continue
+  endif
+  i = i + 2
 endwhile
 """
 
@@ -136,6 +151,19 @@ class TestPhaseContainment:
             not s.classifications for s in program.result.loops.values()
         )
         assert any(r.diag_code == "RES505" for r in program.degradations)
+
+    def test_skipped_loop_simplify_claims_no_iv_over_two_latches(self):
+        """A header phi with two loop-carried values classifies Unknown:
+        either edge alone would claim a step ``i`` does not always take."""
+        with injecting(FaultPlan(points={"analysis.loop-simplify"})):
+            program = analyze(CONTINUE_SRC)
+        assert program.degradations[0].diag_code == "RES502"
+        header_phi = program.ssa_name("i", "L1")
+        assert isinstance(program.classification(header_phi), Unknown)
+        assert not any(
+            isinstance(program.classification(name), InductionVariable)
+            for name in program.ssa_names("i")
+        )
 
     def test_real_frontend_errors_still_raise(self):
         from repro.frontend.lexer import FrontendError

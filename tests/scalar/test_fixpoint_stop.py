@@ -36,7 +36,7 @@ from repro.scalar.copyprop import propagate_copies
 from repro.scalar.gvn import run_gvn
 from repro.scalar.sccp import run_sccp
 from repro.scalar.simplify import simplify_instructions
-from tests.scalar.test_scalar_golden import CASES, _named
+from tests.scalar.test_scalar_golden import CASES
 
 #: random programs a tier-1 run checks
 TEST_RANDOM = 300
@@ -193,8 +193,7 @@ def check(cases):
 
 def _committed():
     for case in sorted(CASES):
-        kind, payload = CASES[case]
-        yield case, kind, payload if kind == "dsl" else _named(CASES[case])
+        yield (case, *CASES[case])
 
 
 def test_committed_cases_stop_only_at_a_fixpoint():
@@ -220,7 +219,7 @@ def test_random_programs_stop_only_at_a_fixpoint():
 
 def test_digits_sum_takes_two_rounds():
     """Round 2 folds the copy that round 1's GVN made of a constant."""
-    assert rounds_of("py", _named(CASES["py:numeric.py:digits_sum"])) == 2
+    assert rounds_of(*CASES["py:numeric.py:digits_sum"]) == 2
 
 
 def test_a_branch_made_constant_gets_its_round():

@@ -51,21 +51,6 @@ COMMITTED_SEEDS = (1, 2, 3)
 MAIN_SEEDS = tuple(range(1, 11))
 
 
-def _dsl_named(source):
-    named = lower_program(parse_program(source), name="main")
-    simplify_loops(named)
-    return named
-
-
-def _python_named(function):
-    named = clone_function(function)
-    try:
-        simplify_loops(named)
-    except Exception:  # noqa: BLE001 - the corpus driver's fallback
-        named = clone_function(function)
-    return named
-
-
 def _cases(seeds):
     """case id -> (kind, payload): DSL source text or lowered named IR."""
     cases = {}
@@ -91,8 +76,14 @@ CASES = _cases(COMMITTED_SEEDS)
 
 
 def _named(case):
+    """The loop-canonical named IR ``analyze()`` would optimize."""
     kind, payload = case
-    return _dsl_named(payload) if kind == "dsl" else _python_named(payload)
+    if kind == "dsl":
+        named = lower_program(parse_program(payload), name="main")
+    else:
+        named = clone_function(payload)
+    simplify_loops(named)
+    return named
 
 
 def replay(named):
@@ -333,10 +324,7 @@ def test_pipeline_matches_replay(case):
     """``analyze()`` optimizes to the same SSA as the pass-by-pass replay."""
     kind, payload = CASES[case]
     ssa, _ = replay(_named(CASES[case]))
-    if kind == "dsl":
-        program = analyze(payload)
-    else:
-        program = analyze_function(_named(CASES[case]))
+    program = analyze(payload) if kind == "dsl" else analyze_function(payload)
     assert not program.degraded
     assert print_function(program.ssa) == print_function(ssa)
 

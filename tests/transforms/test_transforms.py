@@ -7,7 +7,6 @@ spread of inputs).
 
 import pytest
 
-from repro.analysis.loopsimplify import simplify_loops
 from repro.frontend.source import compile_source
 from repro.ir.clone import clone_function
 from repro.ir.instructions import BinOp, Phi
@@ -177,13 +176,12 @@ class TestPeel:
         from repro.core.classes import InductionVariable, WrapAround
 
         named = compile_source(self.WRAP)
-        before = analyze_function(clone_function(named))
+        before = analyze_function(named)
         iml_before = before.classification(before.ssa_name("iml", "L9"))
         assert isinstance(iml_before, WrapAround)
 
         peeled = clone_function(named)
         peel_first_iteration(peeled, "L9")
-        simplify_loops(peeled)
         after = analyze_function(peeled)
         iml_after = after.classification(after.ssa_name("iml", "L9"))
         assert isinstance(iml_after, InductionVariable)
@@ -229,7 +227,6 @@ class TestNormalize:
         )
         normalized = clone_function(named)
         normalize_loop(normalized, "L5")
-        simplify_loops(normalized)
         p1 = analyze_function(named)
         p2 = analyze_function(normalized)
         iv1 = p1.classification(p1.ssa_name("i", "L5"))
