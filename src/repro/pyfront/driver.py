@@ -15,7 +15,7 @@ analysis bug) costs exactly that function, never the corpus run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.diagnostics.diagnostic import Diagnostic, DiagnosticCollector
@@ -126,9 +126,13 @@ def _analyze_compiled(
     # sample, which a corpus-scale walk cannot afford (and the
     # differential oracle already holds lowering to CPython semantics)
     lint_analyzed(program, local, execution=False, ranges=ranges)
-    collector.extend(
-        d.with_origin(cf.origin) if d.origin is None else d for d in local
-    )
+    for d in local:
+        if d.code.startswith("RES5"):
+            # labelled with its layer ("resilience"): name the function
+            d = replace(d, origin=cf.origin, function=cf.qualname)
+        elif d.origin is None:
+            d = d.with_origin(cf.origin)
+        collector.diagnostics.append(d)
     return FunctionOutcome(
         origin=cf.origin,
         qualname=cf.qualname,

@@ -1,9 +1,9 @@
 """Compile a subset of real CPython functions (stdlib ``ast``) to named IR.
 
-Kinds are read from one walk of each def, and one recursive walk
-(:class:`_Desugarer`) desugars it into a loop-language program
-(:mod:`repro.frontend.ast`), stopping at the first construct outside
-the subset; for a function it walked to the end,
+Kinds are read from one walk of each def its header does not reject,
+and one recursive walk (:class:`_Desugarer`) desugars it into a
+loop-language program (:mod:`repro.frontend.ast`), stopping at the first
+construct outside the subset; for a function it walked to the end,
 :func:`repro.frontend.lower.lower_ast` builds its IR, so each construct
 is lowered in one place for both front ends.  Adding a construct takes
 one method of that walk, which both records and rewrites.  The subset
@@ -57,7 +57,7 @@ from repro.frontend import ast as fe
 from repro.frontend.lower import lower_ast
 from repro.ir.function import Function
 from repro.obs.trace import traced
-from repro.pyfront.typeinfer import LIST, Kinds, all_args, walk, walk_def
+from repro.pyfront.typeinfer import CHILD_FIELDS, LIST, Kinds, all_args, walk, walk_def
 from repro.resilience.isolation import DegradationRecord
 
 __all__ = [
@@ -90,8 +90,12 @@ _RELATIONS = {
     ast.NotEq: "!=",
 }
 
-#: the fields holding statements (or except clauses and match cases)
-_BLOCKS = frozenset(("body", "handlers", "orelse", "finalbody", "cases"))
+#: per node type, the fields holding statements (or except clauses and
+#: match cases); only statement lists are ever looked up
+_BLOCKS = {
+    kind: tuple(f for f in fields if f in ("body", "handlers", "orelse", "finalbody", "cases"))
+    for kind, fields in CHILD_FIELDS.items()
+}
 
 #: comparison relations the range analysis consumes as assumptions
 _ASSUMABLE = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "=="}
@@ -107,7 +111,8 @@ class CompiledFunction:
     qualname: str
     origin: str
     lineno: int
-    #: parameter names with inferred kinds, in signature order
+    #: parameter names with inferred kinds, in signature order; empty for
+    #: a def its header rejects, whose kinds are never inferred
     params: List[Tuple[str, str]] = field(default_factory=list)
     #: the named IR, or ``None`` when the function degraded
     function: Optional[Function] = None
@@ -218,16 +223,8 @@ class _Desugarer:
     nothing after it is visited.
     """
 
-    def __init__(
-        self,
-        node: ast.FunctionDef,
-        nodes: Sequence[ast.AST],
-        kinds: Kinds,
-        scope: str,
-    ):
+    def __init__(self, node: ast.FunctionDef, kinds: Kinds, scope: str):
         self.node = node
-        #: the def's nodes in ``ast.walk`` order, shared with kind inference
-        self.nodes = nodes
         self.kinds = kinds
         self.scope = scope
         #: the dropped-assert notes (PYF407) of the walk so far
@@ -246,21 +243,9 @@ class _Desugarer:
         )
 
     # -- entry ---------------------------------------------------------
-    def run(self) -> Tuple[fe.Program, List[str]]:
-        """The program and its parameters; raises :class:`_Blocked`."""
-        node = self.node
-        if node.decorator_list:
-            self.problem(
-                "PYF401", "decorated-function",
-                f"decorated function {self.scope!r} is not lowered",
-            )
-        args = node.args
-        if args.vararg or args.kwarg or args.kwonlyargs:
-            self.problem(
-                "PYF403", "unsupported-signature",
-                f"{self.scope!r} takes *args/**kwargs/keyword-only "
-                "parameters; only positional int/list parameters lower",
-            )
+    def run(self, names: List[ast.Name], loops: List[ast.For]) -> Tuple[fe.Program, List[str]]:
+        """The program and its parameters; raises :class:`_Blocked`.  The
+        def's ``Name`` nodes and loops come from its ``walk_def``."""
         for name, why_int, why_list in self.kinds.conflicts:
             self.problem(
                 "PYF404", "kind-conflict",
@@ -274,8 +259,8 @@ class _Desugarer:
                     f"{name!r} is used as a list but is not a parameter; "
                     "only list parameters are modeled as arrays",
                 )
-        body = self.body(node.body)
-        self.check_loop_targets()
+        body = self.body(self.node.body)
+        self.check_loop_targets(names, loops)
         params: List[str] = []
         prologue: List[fe.Statement] = []
         for name in self.params:
@@ -611,23 +596,18 @@ class _Desugarer:
         return fe.CompareExpr("!=", value, fe.IntLit(0))  # int truthiness
 
     # -- loop-variable escape checks (see module docstring) ------------
-    def check_loop_targets(self) -> None:
-        loops = [
-            child
-            for child in self.nodes
-            if isinstance(child, ast.For) and isinstance(child.target, ast.Name)
-        ]
+    def check_loop_targets(self, names: List[ast.Name], loops: List[ast.For]) -> None:
         if not loops:
             return
         # every Name node of each loop variable, in walk order
-        names: Dict[str, List[ast.Name]] = {loop.target.id: [] for loop in loops}
-        for child in self.nodes:
-            if isinstance(child, ast.Name) and child.id in names:
-                names[child.id].append(child)
+        uses: Dict[str, List[ast.Name]] = {loop.target.id: [] for loop in loops}
+        for child in names:
+            if child.id in uses:
+                uses[child.id].append(child)
         # the variable's Name nodes inside the *body* of a loop over it:
         # reads there see that loop's fresh per-iteration binding, so a
         # later same-named loop "shields" reads inside its own body
-        shielded: Dict[str, Set[int]] = {var: set() for var in names}
+        shielded: Dict[str, Set[int]] = {var: set() for var in uses}
         subtrees: List[Set[int]] = []
         for loop in loops:
             var = loop.target.id
@@ -638,7 +618,7 @@ class _Desugarer:
             var = loop.target.id
             end = (loop.end_lineno or loop.lineno, loop.end_col_offset or 0)
             is_range = _range_call(loop.iter) is not None
-            for child in names[var]:
+            for child in uses[var]:
                 if isinstance(child.ctx, ast.Store):
                     if id(child) in subtree and child is not loop.target:
                         self.problem(
@@ -733,41 +713,64 @@ def _assert_bound(
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
-def compile_function(
-    node: ast.FunctionDef, qualname: str, origin: str
-) -> CompiledFunction:
-    """Compile one ``ast.FunctionDef``; degrades instead of raising.
+def _rejected(node: ast.AST, scope: str) -> Optional[DegradationRecord]:
+    """The record of a def its header alone rejects (``async``, a
+    decorator, then a signature beyond positional parameters), or None."""
+    if isinstance(node, ast.AsyncFunctionDef):
+        return _record(
+            "PYF401", "async-function", f"async function {scope!r} is not lowered", scope
+        )
+    if node.decorator_list:
+        return _record(
+            "PYF401", "decorated-function",
+            f"decorated function {scope!r} is not lowered", scope,
+        )
+    args = node.args
+    if args.vararg or args.kwarg or args.kwonlyargs:
+        return _record(
+            "PYF403", "unsupported-signature",
+            f"{scope!r} takes *args/**kwargs/keyword-only parameters; only "
+            "positional int/list parameters lower", scope,
+        )
+    return None
 
-    One walk of the def (:func:`~repro.pyfront.typeinfer.walk_def`) infers
-    kinds and feeds the loop-variable check (which walks only each loop's
-    own subtree); one recursive walk (:class:`_Desugarer`) desugars the
-    def and stops at its first blocking construct, the one record a
-    skipped function carries.  An expression nested deeper than that
-    walk or lowering can follow degrades the function with PYF402, as the
-    loop language's parser reports it.
+
+def compile_function(node: ast.AST, qualname: str, origin: str) -> CompiledFunction:
+    """Compile one def; degrades instead of raising.
+
+    A def its header rejects (:func:`_rejected`) is never walked.  Any
+    other def costs one walk (:func:`~repro.pyfront.typeinfer.walk_def`),
+    which infers kinds and feeds the loop-variable check (which walks
+    only each loop's own subtree), and one recursive walk
+    (:class:`_Desugarer`), which desugars the def and stops at its first
+    blocking construct, the one record a skipped function carries.  An
+    expression nested deeper than that walk or lowering can follow
+    degrades the function with PYF402, as the loop language's parser
+    reports it.
     """
-    scope = qualname
-    nodes, kinds = walk_def(node)
     compiled = CompiledFunction(
-        qualname=qualname,
-        origin=f"{origin}:{node.lineno}",
-        lineno=node.lineno,
-        params=[(arg.arg, kinds.kind_of(arg.arg)) for arg in all_args(node)],
+        qualname=qualname, origin=f"{origin}:{node.lineno}", lineno=node.lineno
     )
+    rejected = _rejected(node, qualname)
+    if rejected is not None:
+        compiled.degradations.append(rejected)
+        return compiled
+    kinds, names, loops = walk_def(node)
+    compiled.params = [(arg.arg, kinds.kind_of(arg.arg)) for arg in all_args(node)]
     try:
-        desugarer = _Desugarer(node, nodes, kinds, scope)
-        program, params = desugarer.run()
+        desugarer = _Desugarer(node, kinds, qualname)
+        program, params = desugarer.run(names, loops)
         compiled.function = lower_ast(program, node.name, params)
         compiled.degradations.extend(desugarer.notes)
     except _Blocked as blocked:
         compiled.degradations.append(blocked.record)
     except RecursionError:
-        compiled.degradations.append(_too_deep(scope))
+        compiled.degradations.append(_too_deep(qualname))
     except Exception as error:  # noqa: BLE001 - total-ingestion contract
         compiled.degradations.append(
             _record(
                 "PYF401", "internal-error",
-                f"lowering failed: {type(error).__name__}: {error}", scope,
+                f"lowering failed: {type(error).__name__}: {error}", qualname,
             )
         )
     return compiled
@@ -800,21 +803,7 @@ def compile_module(source: str, origin: str = "<python>") -> ModuleCompilation:
     lines = _source_lines(source)
     out = ModuleCompilation(origin=origin)
     for qualname, node in _function_defs(tree):
-        if isinstance(node, ast.AsyncFunctionDef):
-            compiled = CompiledFunction(
-                qualname=qualname,
-                origin=f"{origin}:{node.lineno}",
-                lineno=node.lineno,
-                degradations=[
-                    _record(
-                        "PYF401", "async-function",
-                        f"async function {qualname!r} is not lowered",
-                        qualname,
-                    )
-                ],
-            )
-        else:
-            compiled = compile_function(node, qualname, origin)
+        compiled = compile_function(node, qualname, origin)
         compiled.source = _def_source(lines, node)
         out.functions.append(compiled)
     return out
@@ -873,7 +862,7 @@ def _function_defs(tree: ast.Module) -> List[Tuple[str, ast.AST]]:
             prefix += node.name + "."
         elif isinstance(node, ast.ClassDef):
             prefix += node.name + "."
-        children = [c for f in node._fields if f in _BLOCKS for c in getattr(node, f)]
+        children = [c for f in _BLOCKS[type(node)] for c in getattr(node, f)]
         stack.extend((child, prefix) for child in reversed(children))
     found.sort(key=lambda item: item[1].lineno)
     return found

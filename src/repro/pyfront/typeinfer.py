@@ -9,10 +9,10 @@ A name used both ways (or a list that is *assigned*, i.e. created
 locally) is a kind conflict -- the function degrades with ``PYF404``
 instead of guessing.
 
-The inference is deliberately syntactic: read from the one walk of the
-def (:func:`walk_def`), no dataflow.  That matches the frontend's
-contract -- it must never be *wrong silently*; when in doubt it reports
-a conflict and the function degrades.
+The inference is deliberately syntactic: read as the one walk of the def
+(:func:`walk_def`) pops each node, no dataflow.  That matches the
+frontend's contract -- it must never be *wrong silently*; when in doubt
+it reports a conflict and the function degrades.
 """
 
 from __future__ import annotations
@@ -24,12 +24,27 @@ from typing import Dict, List, Set, Tuple
 INT = "int"
 LIST = "list"
 
-__all__ = ["INT", "LIST", "Kinds", "all_args", "walk", "walk_def"]
+__all__ = ["CHILD_FIELDS", "INT", "LIST", "Kinds", "all_args", "walk", "walk_def"]
 
 #: nodes that own an annotation (``annotation`` or ``returns``)
 _ANNOTATED = (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef)
-#: the node types kind evidence is read from
-_EVIDENCE = frozenset((ast.Name, ast.Subscript, ast.Call, ast.For) + _ANNOTATED)
+#: the node types kind evidence is read from, apart from ``Name``
+_EVIDENCE = frozenset((ast.Subscript, ast.Call, ast.For) + _ANNOTATED)
+
+
+def _node_types(kind: type = ast.AST) -> List[type]:
+    """``kind`` and every node class derived from it."""
+    return [kind] + [t for sub in kind.__subclasses__() for t in _node_types(sub)]
+
+
+#: fields never walked: the ``ctx``/``op``/``ops`` leaf singletons, which
+#: name nothing, and fields that only hold identifier or comment strings
+_LEAVES = ("ctx", "op", "ops", "id", "attr", "arg", "type_comment")
+#: per node type (every one ``ast.parse`` builds exists at import), the
+#: fields that may hold child nodes
+CHILD_FIELDS = {
+    kind: tuple(f for f in kind._fields if f not in _LEAVES) for kind in _node_types()
+}
 
 
 @dataclass
@@ -51,11 +66,11 @@ class Kinds:
 
 
 def walk(root: ast.AST) -> List[ast.AST]:
-    """``list(ast.walk(root))``, with the list as the queue: no deque and
-    no generator per node."""
+    """``list(ast.walk(root))`` without the ``ctx``/``op``/``ops`` leaf
+    singletons, in the same order, with the list as the queue."""
     nodes = [root]
     for node in nodes:
-        for name in node._fields:
+        for name in CHILD_FIELDS[type(node)]:
             value = getattr(node, name, None)
             if isinstance(value, ast.AST):
                 nodes.append(value)
@@ -66,57 +81,78 @@ def walk(root: ast.AST) -> List[ast.AST]:
     return nodes
 
 
-def walk_def(node: ast.FunctionDef) -> Tuple[List[ast.AST], Kinds]:
-    """The def's :func:`walk` (shared with validation) and the kind of
-    every name, read from its evidence nodes in walk order.
+def walk_def(node: ast.FunctionDef) -> Tuple[Kinds, List[ast.Name], List[ast.For]]:
+    """The kind of every name of a def, and its ``Name`` nodes and its
+    ``for <name> in ...`` loops in walk order (for the loop-variable check).
 
-    Annotations are not uses: ``xs: List[int]`` says nothing the body does
-    not, so their subtrees are skipped.  The walk is breadth-first, so the
-    first reason recorded per name is the shallowest one.
+    One breadth-first walk in :func:`walk` order reads the evidence of each
+    node as it pops it, so the first reason recorded per name is the
+    shallowest one.  Annotations are not uses: ``xs: List[int]`` says
+    nothing the body does not, so their subtrees give no evidence.
     """
     int_uses: Dict[str, str] = {}
     list_uses: Dict[str, str] = {}
     assigned: Set[str] = set()
     # Name nodes claimed by a list-position or call-callee pattern; they
-    # are not int uses.  The walk is breadth-first, so a parent claims its
-    # children (and an annotation's owner skips it) before they come up
+    # are not int uses.  A parent is popped before its children, so it
+    # claims them (and an annotation's owner skips it) before they come up
     claimed: Set[int] = set()
     skipped: Set[int] = set()
+    names: List[ast.Name] = []
+    loops: List[ast.For] = []
 
     def list_use(name_node: ast.Name, why: str) -> None:
         list_uses.setdefault(name_node.id, why)
         claimed.add(id(name_node))
 
-    nodes = walk(node)
-    for child in nodes:
-        if type(child) not in _EVIDENCE or id(child) in skipped:
-            continue
-        if isinstance(child, ast.Name):
-            if isinstance(child.ctx, ast.Store):
+    Name, Store, Constant, AST = ast.Name, ast.Store, ast.Constant, ast.AST  # read per node
+    queue: List[ast.AST] = [node]
+    for child in queue:
+        kind = type(child)
+        if kind is Name:
+            names.append(child)
+            if id(child) in skipped:
+                continue
+            if type(child.ctx) is Store:
                 assigned.add(child.id)
                 if id(child) not in claimed:
                     int_uses.setdefault(child.id, "assigned")
             elif id(child) not in claimed:
                 int_uses.setdefault(child.id, "used as an integer")
-        elif isinstance(child, ast.Subscript) and isinstance(child.value, ast.Name):
-            list_use(child.value, "subscripted")
-        elif isinstance(child, ast.Call):
-            if isinstance(child.func, ast.Name):
-                claimed.add(id(child.func))  # callee, not a value use
-                if (
-                    child.func.id == "len"
-                    and len(child.args) == 1
-                    and isinstance(child.args[0], ast.Name)
-                ):
-                    list_use(child.args[0], "passed to len()")
-        elif isinstance(child, ast.For) and isinstance(child.iter, ast.Name):
-            list_use(child.iter, "iterated over")
-        elif isinstance(child, _ANNOTATED):
-            annotation = getattr(child, "annotation", None) or getattr(
-                child, "returns", None
-            )
-            if annotation is not None:
-                skipped.update(map(id, walk(annotation)))
+            continue
+        if kind is Constant:  # like a Name, it has no child nodes
+            continue
+        if kind in _EVIDENCE and id(child) not in skipped:
+            if kind is ast.Subscript and type(child.value) is Name:
+                list_use(child.value, "subscripted")
+            elif kind is ast.Call:
+                if type(child.func) is Name:
+                    claimed.add(id(child.func))  # callee, not a value use
+                    if (
+                        child.func.id == "len"
+                        and len(child.args) == 1
+                        and type(child.args[0]) is Name
+                    ):
+                        list_use(child.args[0], "passed to len()")
+            elif kind is ast.For:
+                if type(child.target) is Name:
+                    loops.append(child)
+                if type(child.iter) is Name:
+                    list_use(child.iter, "iterated over")
+            elif kind in _ANNOTATED:
+                annotation = getattr(child, "annotation", None) or getattr(
+                    child, "returns", None
+                )
+                if annotation is not None:
+                    skipped.update(map(id, walk(annotation)))
+        for name in CHILD_FIELDS[kind]:
+            value = getattr(child, name, None)
+            if type(value) is list:
+                for item in value:
+                    if isinstance(item, AST):
+                        queue.append(item)
+            elif isinstance(value, AST):
+                queue.append(value)
 
     kinds: Dict[str, str] = {}
     conflicts: List[Tuple[str, str, str]] = []
@@ -129,7 +165,7 @@ def walk_def(node: ast.FunctionDef) -> Tuple[List[ast.AST], Kinds]:
             kinds[name] = INT
     for arg in all_args(node):
         kinds.setdefault(arg.arg, INT)
-    return nodes, Kinds(kinds=kinds, conflicts=conflicts, assigned=assigned)
+    return Kinds(kinds=kinds, conflicts=conflicts, assigned=assigned), names, loops
 
 
 def all_args(node: ast.FunctionDef) -> List[ast.arg]:

@@ -45,64 +45,64 @@ DATA_GOLDEN = {
     "corpus/kernels.py": "b408059cc8794095b5c7a7d17bc1ba4a312f36d16b16feef4552fd65c58adaa8",
     "corpus/numeric.py": "38283429c5e5d3ce071a15bd96539d730a8dfc5c6966db764112c8786b90571b",
     "corpus/search.py": "ac3c773ce653093b6734f4f97b79d49ee9941a7ac170dfc7d0d7e0f162abe8ba",
-    "stdlib/abc.py": "6dc183b99a092d5910b72aedf1b63584d556bd2f815668d3cc974862862aea59",
-    "stdlib/ast.py": "616004069a4febc9cfdf255fe35d0c85961193352d3152de8b861209fdbcdbaf",
-    "stdlib/base64.py": "79ee2529f4ffb4ca5662f6608a2f3c35561c7152cbd364ac9d5e64e926211cd5",
-    "stdlib/bisect.py": "d8e9f82e794343e5d5ec71cd49719b5f89836945345af29672e83d9dcb7e97e9",
-    "stdlib/calendar.py": "353d5d2b5424e71624a78ab3ad3dd751d78facb971b68a1c6cd2cd966520167c",
-    "stdlib/codecs.py": "93c788db4689f3724878bbe685159505508c7faea22795d7d6f1c41ed9646fda",
-    "stdlib/collections.py": "17a4dfa7e4aadd30b765da7e17d78c02cb66765d067c06ed03f2ded1b86e0b53",
+    "stdlib/abc.py": "e922defa917cb5272680b0c45819fac6e3104d2fac1612fadc634159c941f117",
+    "stdlib/ast.py": "15d54013460d41000cda8d49bbf43db1c63f654e4996f8dd68b9176d5fe46793",
+    "stdlib/base64.py": "5f0b36fcd10a3d09d1e93d0f6bda3789143fc9c439529becc5a9b97c4bf2b9ee",
+    "stdlib/bisect.py": "34b799a1fcd9735e3c504c622c51784d5c485eadeca4116e234510a2776b0316",
+    "stdlib/calendar.py": "44b28e52faae29cd80bf05170dc829d8a9cbdd930d6881741174ccfa361fc295",
+    "stdlib/codecs.py": "5558131490a188980fd8236a61ed0f4246e20427f2ca09f0cbd0f3a75612c200",
+    "stdlib/collections.py": "8357a8029bf33d28e567e911a56eb2f5b71dea6786c10549ba9f10367c008c9b",
     "stdlib/colorsys.py": "a40fdb0ba633e189a1339077829922f97135743ce840c3f972bf13200a9e98aa",
-    "stdlib/configparser.py": "f02d048cd0b201c43aba85ae645324995a40c4a24ba82e2f6e12c961d931b2f5",
-    "stdlib/contextlib.py": "eb1a33693f19ddb5dd39b88e9ec8d007fbc7ceaa09f620d58f09234ed2486973",
-    "stdlib/copy.py": "e0fabf3741fbd5d5d356bc122fe972facf586de9938da507af4ccac8352621e7",
-    "stdlib/csv.py": "44730f2ffc8777cac0c9a2de56b884cd634f05f69ce0f1b4bf9ce30cce26cb2d",
-    "stdlib/dataclasses.py": "67accd7c1edad1394c43bfcbd4d0d96929917dacad2f64c0fac62b1143ffe07d",
-    "stdlib/difflib.py": "708c39543f05b1340831bc5aa51005cba223deba81029347d01d9d801dbff2fc",
-    "stdlib/dis.py": "f856a298c98087b1acf03307899b6e175e3d11c95a3bed59c625b549aadfb02e",
+    "stdlib/configparser.py": "3dd4e2592537ff6851d80dbc06d986b26a5dba49c7e67429c5fad96bcf9ddedd",
+    "stdlib/contextlib.py": "02c8ec33a7492a156be3e8617cb1be3241d19649c5b3f7ea5933897c4b855993",
+    "stdlib/copy.py": "2bb324866cc0f583e646b6f1acac9b8878024b4163fb54aa7978395d49f7d63e",
+    "stdlib/csv.py": "83c276c7db81d647ebe9189f1cf58c5e7a84f97e08163570ad1b40d8e46a059c",
+    "stdlib/dataclasses.py": "cbd8aa0143a4e1e8b6449dea131731ee0d8de13058aabf2d6876f4cdb3491db7",
+    "stdlib/difflib.py": "ab1fd04163718666f9c59246890c2e75f0aefc5d5950efecf4fdc255418b5488",
+    "stdlib/dis.py": "309f70dd0cabc4544e3e18ede6e78933e4c1dee2d23ac312a755fe490f686d3a",
     "stdlib/email_utils.py": "254f087324e5bfe8b95edccc1a267ed19f89e86d5ae29f59d71edf341109ea5c",
     "stdlib/filecmp.py": "8c5d5c8d21c64d5fca6b6b2adf414e55cba34fc29f60a82cf1987bafe083b9e7",
-    "stdlib/fileinput.py": "e4234be8f63be9ced9f66a9aaa29f011784a721fedd017f9225d762bcffbf71b",
-    "stdlib/fnmatch.py": "aaea36434c48285b41901adbe40b281e5f06e41165b5dc9315f553ceeb711e30",
-    "stdlib/fractions.py": "61b8d07bc4efafc3961b909fb25cd24854c08e080b4a631a14d64659b838d8d0",
-    "stdlib/functools.py": "bc564f68180e565dfdbf5b06c93a969cd046c25efd743d6a002cf57d0ee760cd",
-    "stdlib/genericpath.py": "43c3fbd8ff094e81fade8977533a8ef02e00319c24408b09d0cfc6a2e99e225a",
+    "stdlib/fileinput.py": "398960932859c9efd7e93aa551d35ae2e5bb9906c079442ee816af6dab616071",
+    "stdlib/fnmatch.py": "46825e21f2c4ab55ea17f457ab8b38a246506e2400f1f2427dc8ad0784d8860d",
+    "stdlib/fractions.py": "464e9e4a2274d988f50d24b5331b27489a00d3198b65ef17b1cdd6b8593086d5",
+    "stdlib/functools.py": "e86e3e7427a1a3de8d9e14088e88b19a0d3a9cf7059764ffcea5536f6421902a",
+    "stdlib/genericpath.py": "a73ffe347f0991be181762dfa1599e386d36dce1df73d7bb762db52fa9fd637e",
     "stdlib/getopt.py": "ef9d4e6eb03210354b8731ec755cb11dd43c32ccb4ffc0b5ac01ba5e9f85593c",
-    "stdlib/gettext.py": "fc3a829df05702fa710d850d891b3a28311d4c2d175c78d9d29fdab6decf6bd2",
-    "stdlib/glob.py": "9c9f4f9c6a71942651817fc4a6f0848ed165ed32c71e1ce0c10371d14353f5c3",
-    "stdlib/graphlib.py": "ddcb1adb6f5616176f01c89ad7ca3d2ded9c65454f8f2fb889143a272691b63f",
+    "stdlib/gettext.py": "6635aa7b7dfa14b95f297a98917ec9d0e18b615c665aa9b2e0acf5759be6aa16",
+    "stdlib/glob.py": "072027a2cd4bec8363564b489d44a590598deec4698232b949dbe562f860ef32",
+    "stdlib/graphlib.py": "e55c5e185eaa3b755c09ce28a5908eecbed5ea4d195bb9f80b6bb94a8415bd75",
     "stdlib/heapq.py": "29e6833ab1b7d0303c21a9c0eaf62430acc3a1c0cb0a5f58c1572c944fd9e358",
-    "stdlib/hmac.py": "6ed8cd674198982c87b2db151ed4aadd2a0b34ca6c7fb78c0a9073bc7b616ff1",
-    "stdlib/html_parser.py": "1ee766bede87ec5f5b41c18474b9bc0c995b1c0c0622d1184a76dc14362c7e0e",
-    "stdlib/ipaddress.py": "3b6129a50b77325e0f1d88c55310749c2312a4864d2ee8c2a83592da241227e6",
+    "stdlib/hmac.py": "c896685a645f7937b4c9814c4cbdc4da151d8837a48af4a2be08a427009aa9fc",
+    "stdlib/html_parser.py": "2211c959fbfdb5a6a0824b6096a4101318a93ade46a3627903488401ebfb9f5c",
+    "stdlib/ipaddress.py": "6bcdc69b8282966bd91c43493b2aa0ec906b6eef5cfb8d91f0a4df72c30c8cf3",
     "stdlib/linecache.py": "bcb7ca849120197d1ad08fdcb701adeb8a358cb1e487413e543fb233c21741ee",
-    "stdlib/mimetypes.py": "0d3d37d8b48e5b666bcb43c96b3cbb8161a4b972fc0387122ac19c43923b36e5",
+    "stdlib/mimetypes.py": "cf0858ef5f1c7ee1309b1fb469c8383562f202fe56e258a59ec5039d64738749",
     "stdlib/netrc.py": "4d71d896c2d2ff85b746143e27dd9d15d482006bcb93eee39dca5a87bd130d30",
-    "stdlib/ntpath.py": "1eb3f0de2e3512b334c2810c26da20da2450ffc7cfd94b2a49ced8d92e97c10c",
-    "stdlib/numbers.py": "e94090691dbd0c4bb94ddfe3b177bd956bffc58c5911485cc1ad654f28f04d63",
-    "stdlib/operator.py": "7ca6a48b99de067c9e25f2c5cddb28ed9563e33ebcfa6547904b90636150fb97",
-    "stdlib/plistlib.py": "2a26b11fc439221de7fa6bb685b9612f08dd40578b59fc68221f266393200f03",
-    "stdlib/posixpath.py": "71d02fa472c1b80eaf3c9a6d364d447d3d4b7980b34a96caa7e4800649b5aea8",
-    "stdlib/pprint.py": "bba169d52cf1a3a958e4a6dcbef71bf98dd49f0fba6a9940ea4c83a6a4f19175",
+    "stdlib/ntpath.py": "23753e5bda20594cb383bc57474deebcb278aab274819aef5bbabf07aea79e6c",
+    "stdlib/numbers.py": "9e96c87a56f81faec354b1af1e29c3c7f28bd193653242dc1bfea3b4759c26b9",
+    "stdlib/operator.py": "b839068911b2994794978a267ce7736ec1e5c9cd120549db086f8d310b6db097",
+    "stdlib/plistlib.py": "72f8fa1fecc6a8ec8306472c0308bad92307479ae40b7e00dbe6f456c4c64cc7",
+    "stdlib/posixpath.py": "aa34dffde62141e0832ad480c26ea9d1108b48baa154012d0c8d06f1622d6ffd",
+    "stdlib/pprint.py": "4980f7a0533d1e322a2165fb038162bf30fba7ceb48ffd56c78bacca38820d2d",
     "stdlib/queue.py": "182b1ad3a959e893c100830125956b0088e70c5769c61efdef73df10d72435d0",
     "stdlib/quopri.py": "8986a92f14ed9f554f03a61923b6c0c0c14911e652fe852c38159cba973975b5",
-    "stdlib/random.py": "e061473a067e8880da0c6bb7b8248fbcb7b135f30ec73e3a2a7a85c4b45bafe3",
+    "stdlib/random.py": "a127b2d85e813bf0cfccb0ad009350dea3a78e1cce40ab64cf008ec161daec30",
     "stdlib/reprlib.py": "691ddee07a7e20689502a2289e62d42de06980da7a5b60804c75000c069bd103",
-    "stdlib/sched.py": "f4c5565e3d02546b231ff9d1ec42669a9ebc7f65142dcd3b3eb52e89c18f40ae",
-    "stdlib/shlex.py": "a4e6594f7edea3d02c98654a3a66d5a7392b37333b1ee63c458d7996f5c5e67e",
-    "stdlib/shutil.py": "177edfebcbc63b6031aee0e8459eeb97f2d809b9fe530dd31b0385ade11414fa",
+    "stdlib/sched.py": "bdadee302d3c2f54613bc4584a85d91cda0657acf966d0d09c6ff740cc7afe0a",
+    "stdlib/shlex.py": "7da9ae0e9eccaa6a1532acbe4f7a81df85eb46fe29af6b16001922b152e6cd31",
+    "stdlib/shutil.py": "fbf1f3b6034013d680df1d0ce685fd01683211902ac5e2e9be671d482b2a2c25",
     "stdlib/stat.py": "441580f879b76a394d464d2e173c716acf995770a393762febd76a1194bb0858",
-    "stdlib/statistics.py": "5a30da3af4f3c16e8477c7a03820753db76bdf900905b1e15ea8abe2195f3510",
-    "stdlib/string.py": "8f45b01ce7f6997c0b23b79439e5ee1e9ac614bea45360bff11db6649a786618",
-    "stdlib/tempfile.py": "e238ae1d4f465e9dc60e9a7975d46b5171ee8a3e03ebe968c9f5238e165dbadf",
-    "stdlib/textwrap.py": "3365a9f748958ccd64fa3b6cbd3cee14edac75abf7f0d87be6cb1338559e24e4",
-    "stdlib/tokenize.py": "124b561f78b92703187277f1e298e1c2aa195088a2818c4a17905b4296c771d0",
-    "stdlib/traceback.py": "5a20e554fbfae14508fce86a6e77e7f70b047dfda555cb28d15df1743fee0067",
-    "stdlib/types.py": "d4a75cf14703355f90a0cc1f059742845f1c8f435a02a1f348d0c175c97781a8",
-    "stdlib/urllib_parse.py": "be31df77678712cc6eaec333d2f915e6162b9d5e9952bee64439c4a825fbd2a0",
-    "stdlib/uuid.py": "d415b938dddc5093219c2c11d1ca45a4b25bf7b8309519a137952e33d4efe0de",
-    "stdlib/warnings.py": "741476b1a60c31bc937ca846eed60b751c47fc6f9b92466217589e07f87aa7bb",
-    "stdlib/weakref.py": "30e31bd68c319726e149736b44d43957f1c41c6e840cd13b7035c3d0a3b2a1cf",
+    "stdlib/statistics.py": "c8926f9654ea0e6626994b3af7b7eb755e977fce89f44484e4dac4d41ca5afd9",
+    "stdlib/string.py": "8362fef77df6a64f41b160827be8de39267dbdddf9359ed99fe743c34f28c777",
+    "stdlib/tempfile.py": "8f9d741081c14667baf36ae9871697ed632e67856ce8667c2c727c40c0299e3a",
+    "stdlib/textwrap.py": "2c4d4a851315331ed0a9ce1c5c4cebef29e3aac4630b6fed31b844ad08c4a18d",
+    "stdlib/tokenize.py": "cf41f826b04c4a29923b92e10f875ab1e34bbc3e69e2b7b76316873e26defd9e",
+    "stdlib/traceback.py": "0cc4435d92a9de24c1e32431209b243d90eefa0e8e64eb947beb4b7503644132",
+    "stdlib/types.py": "22aa31db6eb065fc310ee1f616223fb12c709cf53ae812cb318cd3ffbd1eac4a",
+    "stdlib/urllib_parse.py": "5ffad8debe5513833624701f1263206b3e7e7e512a5957e5f4b9d276651af187",
+    "stdlib/uuid.py": "d5da7c705939fad734833bc4e9588c94dd43ca96ef817418f2503fb98e17d840",
+    "stdlib/warnings.py": "4e063a68517a15c56efdd4e10c813ec36d99699f2a1221231c3d17b92ab7382c",
+    "stdlib/weakref.py": "391a63b98244f953b2041f66872ec57233e384e048d1cd985a0d8ffce3f1efad",
 }
 
 
@@ -267,24 +267,78 @@ def test_skip_record_fingerprint_is_unchanged():
     assert record["fingerprint"] == source_fingerprint(cf.source) == "cf331237352e127c"
 
 
-def test_compile_walks_the_def_once(monkeypatch):
-    node = _def_node(LOOP_REUSE)
+def _count_walks(monkeypatch) -> list:
+    """Record the root of every walk ``compile_module`` makes; fail on
+    any use of ``ast.walk``."""
     roots = []
-    real_walk = typeinfer.walk
 
-    def counting_walk(root):
-        roots.append(root)
-        return real_walk(root)
+    def counting(real):
+        def wrapper(root):
+            roots.append(root)
+            return real(root)
+
+        return wrapper
 
     def no_generic_walk(root):
         raise AssertionError("compile used ast.walk")
 
-    monkeypatch.setattr(typeinfer, "walk", counting_walk)
-    monkeypatch.setattr(lower, "walk", counting_walk)
+    monkeypatch.setattr(typeinfer, "walk", counting(typeinfer.walk))
+    monkeypatch.setattr(lower, "walk", counting(lower.walk))
+    monkeypatch.setattr(lower, "walk_def", counting(lower.walk_def))
     monkeypatch.setattr(ast, "walk", no_generic_walk)
-    compile_function(node, "reuse", "reuse.py")
-    assert sum(1 for root in roots if root is node) == 1
+    return roots
+
+
+def test_compile_walks_each_def_at_most_once(monkeypatch):
+    roots = _count_walks(monkeypatch)
+    compile_function(_def_node(LOOP_REUSE), "reuse", "reuse.py")
     assert len(roots) > 1  # the loop-variable check walks loop subtrees
+    defs = lower._function_defs(ast.parse((DATA / "stdlib" / "textwrap.py").read_text()))
+    roots.clear()
+    for qualname, node in defs:
+        compile_function(node, qualname, "textwrap.py")
+    walks = [sum(1 for root in roots if root is node) for _, node in defs]
+    assert max(walks) == 1 and walks.count(1) > len(defs) // 2
+
+
+HEADER_REJECTED = textwrap.dedent(
+    """
+    @cache
+    def decorated(n):
+        return n
+
+    @cache
+    def decorated_and_starred(n, *args):
+        return n
+
+    def starred(n, xs, *args):
+        return xs[n]
+
+    def keyword_only(n, *, m):
+        return n + m
+
+    def double_starred(n, **options):
+        return n
+
+    async def coroutine(n):
+        return n
+    """
+)
+
+
+def test_header_rejected_defs_are_never_walked(monkeypatch):
+    roots = _count_walks(monkeypatch)
+    module = compile_module(HEADER_REJECTED, origin="header.py")
+    assert roots == []
+    assert [(cf.qualname, cf.params, [d.code for d in cf.degradations])
+            for cf in module.functions] == [
+        ("decorated", [], ["decorated-function"]),
+        ("decorated_and_starred", [], ["decorated-function"]),
+        ("starred", [], ["unsupported-signature"]),
+        ("keyword_only", [], ["unsupported-signature"]),
+        ("double_starred", [], ["unsupported-signature"]),
+        ("coroutine", [], ["async-function"]),
+    ]
 
 
 def test_kind_conflict_names_the_shallowest_reason_first():

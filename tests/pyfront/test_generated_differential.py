@@ -8,7 +8,8 @@ nests, multi-target and augmented assignments, chained comparisons,
 floor ``//`` / ``%`` and ``len``.  Each function runs under CPython
 ``exec`` and through ``compile_module`` + the IR interpreter; return
 value and final list contents must agree.  Inputs on which CPython
-raises are out of contract and discarded.
+raises, or runs more source lines than the IR's fuel covers, are out of
+contract and discarded.
 
 Functions in the subset the loop language shares (no ``//``, ``%``,
 ``len``, negative constant index, comparison value or ``for x in xs``)
@@ -23,6 +24,8 @@ index and the IR does not, which is out of contract (see
 
 import random
 import re
+import sys
+import textwrap
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -39,6 +42,14 @@ INTS = ("n", "m")
 LISTS = ("xs", "ys")
 ACCUMULATORS = ("s", "t")
 RELATIONS = ("<", "<=", ">", ">=", "==", "!=")
+
+#: the IR interpreter's step budget, which also catches a miscompiled loop
+#: that never ends
+IR_FUEL = 200_000
+#: the source lines one CPython run may execute: no generated line lowers
+#: to more than about 15 IR steps, so the IR's fuel covers every kept input
+#: (list stores can grow a later ``range()`` limit far past both budgets)
+PY_LINES = IR_FUEL // 40
 
 
 @dataclass
@@ -395,14 +406,32 @@ def functions(draw) -> Generated:
     return _Writer(draw, shared=draw(st.booleans())).function()
 
 
+class _OverBudget(Exception):
+    """CPython ran more than ``PY_LINES`` lines of the function."""
+
+
 def _python_run(source: str, ints: Dict[str, int], lists: Dict[str, List[int]]):
     env = {"__builtins__": {"range": range, "len": len}}
     exec(source, env)
     copies = {name: list(values) for name, values in lists.items()}
+    code, lines = env["f"].__code__, 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+            if lines > PY_LINES:
+                raise _OverBudget
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
     try:
         returned = env["f"](**ints, **copies)
     except Exception:
-        return None  # out of contract: the input is discarded
+        return None  # out of contract (or over budget): the input is discarded
+    finally:
+        sys.settrace(previous)
     return _normal(returned), {name: [_normal(v) for v in vs] for name, vs in copies.items()}
 
 
@@ -413,7 +442,7 @@ def _ir_run(function, scalars: Dict[str, int], lists: Dict[str, List[int]]):
         if name in function.arrays
     }
     args = {name: scalars[name] for name in function.params}
-    result = Interpreter(function, fuel=200_000).run(args, arrays)
+    result = Interpreter(function, fuel=IR_FUEL).run(args, arrays)
     final = {
         name: [result.arrays.get(name, {}).get((i,), v) for i, v in enumerate(values)]
         for name, values in lists.items()
@@ -435,11 +464,6 @@ def _normal(value):
 )
 @given(program=functions(), data=st.data())
 def test_generated_function_matches_cpython(program, data):
-    (cf,) = compile_module(program.python, origin="generated.py").functions
-    assert cf.ok, (program.python, [d.message for d in cf.degradations])
-    dsl_function = None
-    if program.dsl is not None:
-        dsl_function = lower_program(parse_program(program.dsl), name="f")
     compared = 0
     for _ in range(3):
         ints = {name: data.draw(st.integers(-3, 7), label=name) for name in INTS}
@@ -447,26 +471,64 @@ def test_generated_function_matches_cpython(program, data):
             name: data.draw(st.lists(st.integers(-5, 9), max_size=10), label=name)
             for name in LISTS
         }
-        expected = _python_run(program.python, ints, lists)
-        if expected is None:
-            continue
-        compared += 1
-        # an unused list parameter has int kind: the IR never sees it
-        scalars = dict(ints)
-        used = {name: lists[name] for name, kind in cf.params if kind == "list"}
-        scalars.update({name + LEN_SUFFIX: len(values) for name, values in used.items()})
-        scalars.update({name: 0 for name, kind in cf.params if kind == "int" and name in LISTS})
-        try:
-            got = _ir_run(cf.function, scalars, used)
-        except InterpreterError as error:
-            pytest.fail(f"pyfront IR raised {error} where CPython did not:\n{program.python}")
-        assert got[0] == expected[0], (program.python, ints, lists)
-        assert got[1] == {name: expected[1][name] for name in used}, (program.python, ints, lists)
-        if dsl_function is not None:
-            got = _ir_run(dsl_function, ints, lists)
-            assert got[0] == expected[0], (program.dsl, ints, lists)
-            assert got[1] == expected[1], (program.dsl, ints, lists)
+        compared += _matches_cpython(program, ints, lists)
     assume(compared > 0)
+
+
+def _matches_cpython(program: Generated, ints, lists) -> bool:
+    """Run one input through CPython and the IR(s) and compare; False if
+    the input is out of contract and discarded."""
+    (cf,) = compile_module(program.python, origin="generated.py").functions
+    assert cf.ok, (program.python, [d.message for d in cf.degradations])
+    expected = _python_run(program.python, ints, lists)
+    if expected is None:
+        return False
+    # an unused list parameter has int kind: the IR never sees it
+    scalars = dict(ints)
+    used = {name: lists[name] for name, kind in cf.params if kind == "list"}
+    scalars.update({name + LEN_SUFFIX: len(values) for name, values in used.items()})
+    scalars.update({name: 0 for name, kind in cf.params if kind == "int" and name in LISTS})
+    try:
+        got = _ir_run(cf.function, scalars, used)
+    except InterpreterError as error:
+        pytest.fail(f"pyfront IR raised {error} where CPython did not:\n{program.python}")
+    assert got[0] == expected[0], (program.python, ints, lists)
+    assert got[1] == {name: expected[1][name] for name in used}, (program.python, ints, lists)
+    if program.dsl is not None:
+        dsl_function = lower_program(parse_program(program.dsl), name="f")
+        got = _ir_run(dsl_function, ints, lists)
+        assert got[0] == expected[0], (program.dsl, ints, lists)
+        assert got[1] == expected[1], (program.dsl, ints, lists)
+    return True
+
+
+#: on ``GROWING_INPUT`` the list stores keep raising the ``range(x1)``
+#: limits: CPython runs 84,626 lines and the IR would need 212,316 steps,
+#: past its fuel
+GROWING_LIMIT = Generated(
+    python=textwrap.dedent(
+        """\
+        def f(n, m, xs, ys):
+            for x1 in xs:
+                w2 = 0
+                while w2 < 4:
+                    w2 += 1
+                    for i3 in range(w2, len(xs), 2):
+                        xs[w2 + 1] = -(x1 * i3)
+                for i6 in range(x1):
+                    pass
+            return 6
+        """
+    ),
+    dsl=None,
+)
+GROWING_INPUT = {"xs": [1, 8, 6, 3, -1, 3, 7, -2, 8, -2], "ys": []}
+
+
+def test_input_past_the_fuel_is_discarded():
+    ints = {"n": 0, "m": 0}
+    assert not _matches_cpython(GROWING_LIMIT, ints, GROWING_INPUT)
+    assert _matches_cpython(GROWING_LIMIT, ints, {"xs": [3, 0, 0, 0, 0, 0], "ys": []})
 
 
 class _SeededWriter(_Writer):

@@ -1,10 +1,14 @@
 """The front end's own traversals equal the generic ``ast`` ones.
 
-``typeinfer.walk`` must yield exactly ``list(ast.walk(root))`` (same
-nodes by identity, same breadth-first order: the first reason a PYF404
-message names and which PYF405 record comes first depend on it), and the
-statement-only ``_function_defs`` must find exactly the defs the old
-recursive search over every node found.
+``typeinfer.walk`` must yield exactly ``list(ast.walk(root))`` minus the
+``ctx``/``op``/``ops`` leaf singletons (same nodes by identity, same
+breadth-first order: the first reason a PYF404 message names and which
+PYF405 record comes first depend on it).  The fused ``walk_def`` must
+infer what the two-pass version it replaced inferred (kinds, conflicts
+with their reasons, assigned names) and hand the loop-variable check the
+same ``Name`` and ``For`` nodes in the same order.  The statement-only
+``_function_defs`` must find exactly the defs the old recursive search
+over every node found.
 
 Runs under pytest and, without it, as a script on any installed Python::
 
@@ -15,10 +19,10 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.pyfront.lower import _function_defs
-from repro.pyfront.typeinfer import walk, walk_def
+from repro.pyfront.typeinfer import INT, LIST, Kinds, all_args, walk, walk_def
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -43,6 +47,71 @@ def _old_function_defs(tree: ast.Module) -> List[Tuple[str, ast.AST]]:
     search(tree, "")
     found.sort(key=lambda item: item[1].lineno)
     return found
+
+
+#: the leaf singletons ``walk`` leaves out
+_LEAVES = (ast.expr_context, ast.operator, ast.unaryop, ast.boolop, ast.cmpop)
+
+_ANNOTATED = (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef)
+_EVIDENCE = frozenset((ast.Name, ast.Subscript, ast.Call, ast.For) + _ANNOTATED)
+
+
+def _old_walk_def(node: ast.FunctionDef) -> Tuple[List[ast.AST], Kinds]:
+    """The two-pass kind inference the fused ``walk_def`` replaced: the
+    def's ``ast.walk`` list, then a pass over its evidence nodes."""
+    int_uses: Dict[str, str] = {}
+    list_uses: Dict[str, str] = {}
+    assigned: Set[str] = set()
+    claimed: Set[int] = set()
+    skipped: Set[int] = set()
+
+    def list_use(name_node: ast.Name, why: str) -> None:
+        list_uses.setdefault(name_node.id, why)
+        claimed.add(id(name_node))
+
+    nodes = list(ast.walk(node))
+    for child in nodes:
+        if type(child) not in _EVIDENCE or id(child) in skipped:
+            continue
+        if isinstance(child, ast.Name):
+            if isinstance(child.ctx, ast.Store):
+                assigned.add(child.id)
+                if id(child) not in claimed:
+                    int_uses.setdefault(child.id, "assigned")
+            elif id(child) not in claimed:
+                int_uses.setdefault(child.id, "used as an integer")
+        elif isinstance(child, ast.Subscript) and isinstance(child.value, ast.Name):
+            list_use(child.value, "subscripted")
+        elif isinstance(child, ast.Call):
+            if isinstance(child.func, ast.Name):
+                claimed.add(id(child.func))
+                if (
+                    child.func.id == "len"
+                    and len(child.args) == 1
+                    and isinstance(child.args[0], ast.Name)
+                ):
+                    list_use(child.args[0], "passed to len()")
+        elif isinstance(child, ast.For) and isinstance(child.iter, ast.Name):
+            list_use(child.iter, "iterated over")
+        elif isinstance(child, _ANNOTATED):
+            annotation = getattr(child, "annotation", None) or getattr(
+                child, "returns", None
+            )
+            if annotation is not None:
+                skipped.update(map(id, ast.walk(annotation)))
+
+    kinds: Dict[str, str] = {}
+    conflicts: List[Tuple[str, str, str]] = []
+    for name in sorted(set(int_uses) | set(list_uses)):
+        if name in list_uses:
+            kinds[name] = LIST
+            if name in int_uses:
+                conflicts.append((name, int_uses[name], list_uses[name]))
+        else:
+            kinds[name] = INT
+    for arg in all_args(node):
+        kinds.setdefault(arg.arg, INT)
+    return nodes, Kinds(kinds=kinds, conflicts=conflicts, assigned=assigned)
 
 
 def _python_files(*roots: str) -> List[Path]:
@@ -191,9 +260,18 @@ def check_walk() -> int:
         if tree is None:
             continue
         for qualname, node in _function_defs(tree):
-            want = list(ast.walk(node))
-            assert _same_nodes(walk(node), want), f"{path}:{qualname}"
-            assert _same_nodes(walk_def(node)[0], want), f"{path}:{qualname}"
+            where = f"{path}:{qualname}"
+            nodes, want = _old_walk_def(node)
+            leaves = [n for n in nodes if not isinstance(n, _LEAVES)]
+            assert _same_nodes(walk(node), leaves), where
+            kinds, names, loops = walk_def(node)
+            assert kinds == want, where
+            assert list(kinds.kinds) == list(want.kinds), where
+            assert _same_nodes(names, [n for n in nodes if type(n) is ast.Name]), where
+            assert _same_nodes(
+                loops,
+                [n for n in nodes if type(n) is ast.For and type(n.target) is ast.Name],
+            ), where
             defs += 1
     assert defs > 1000
     return defs
@@ -225,11 +303,12 @@ def check_synthetic() -> int:
     qualnames = {name for name, _ in found}
     assert "top.inner.Local.method.deepest" in qualnames
     assert "Outer.Inner.coroutine.in_async_for_else" in qualnames
-    assert _same_nodes(walk(tree), list(ast.walk(tree)))
+    leaves = [n for n in ast.walk(tree) if not isinstance(n, _LEAVES)]
+    assert _same_nodes(walk(tree), leaves)
     return len(found)
 
 
-def test_walk_is_ast_walk_on_every_def():
+def test_walks_match_the_references_on_every_def():
     check_walk()
 
 
@@ -247,7 +326,8 @@ def main() -> int:
     files, skipped = check_files()
     synthetic = check_synthetic()
     print(
-        f"python {version}: walk == ast.walk on {defs} defs; "
+        f"python {version}: walk == ast.walk and walk_def == the two-pass "
+        f"inference on {defs} defs; "
         f"_function_defs == recursive search on {files} files "
         f"({skipped} not parseable by this Python) and on the synthetic "
         f"module ({synthetic} defs)"

@@ -12,13 +12,14 @@ Python mini-corpus.
 three defaults in separate jobs).
 """
 
+import json
 import os
 
 import pytest
 
 from repro.diagnostics.driver import collect_targets, discover_files
 from repro.pipeline import AnalyzedProgram, analyze, analyze_function
-from repro.pyfront.driver import pylint_paths
+from repro.pyfront.driver import pylint_paths, render_corpus_json, render_corpus_text
 from repro.pyfront.lower import compile_module
 from repro.resilience.errors import InjectedFault
 from repro.resilience.faultinject import FAULT_POINTS, FaultPlan, injecting
@@ -106,15 +107,25 @@ def test_single_point_never_escapes_analyze_function(point):
 
 
 def test_pylint_reports_each_skipped_loop_canonicalization():
-    """A failed canonicalization is one RES502 per lowered function."""
+    """A failed canonicalization is one RES502 per lowered function, which
+    names that function's ``file:line`` and qualname."""
     with injecting(FaultPlan(points={"analysis.loop-simplify"})):
         result = pylint_paths([PY_CORPUS])
     skipped = [
         d for d in result.findings
         if d.code == "RES502" and d.stage == "analysis.loop-simplify"
     ]
-    assert result.lowered == len(PY_FUNCTIONS)
-    assert len(skipped) == result.lowered
+    assert result.lowered == len(PY_FUNCTIONS) == 22
+    assert sorted((d.origin, d.function) for d in skipped) == sorted(
+        (cf.origin, cf.qualname) for cf in PY_FUNCTIONS
+    )
+    text = render_corpus_text(result)
+    for cf in PY_FUNCTIONS:
+        assert f"{cf.origin}: {cf.qualname}: warning RES502 " in text
+    found = json.loads(render_corpus_json(result))["findings"]
+    assert sorted(
+        (d["origin"], d["function"]) for d in found if d["code"] == "RES502"
+    ) == sorted((cf.origin, cf.qualname) for cf in PY_FUNCTIONS)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
