@@ -65,7 +65,7 @@ chaos:
 
 stats:
 	rm -rf .repro/runs
-	$(PYTHON) -m repro examples/ --ranges --runlog > /dev/null
+	$(PYTHON) -m repro examples/ --ranges --invariants --runlog > /dev/null
 	$(PYTHON) -m repro stats --strict
 
 bench:

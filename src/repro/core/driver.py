@@ -228,12 +228,6 @@ class LoopSummary:
     region_ctx: Optional[RegionContext] = field(
         default=None, repr=False, compare=False
     )
-    #: per-path update summary attached by the optional invariants phase
-    #: (a :class:`repro.invariants.paths.PathSummary`, or None)
-    path_summary: object = field(default=None, repr=False, compare=False)
-    #: polynomial equalities attached by the optional invariants phase
-    #: (a tuple of :class:`repro.invariants.poly.LoopInvariant`)
-    invariants: tuple = field(default=(), repr=False, compare=False)
 
     def classification_of(self, name: str) -> Optional[Classification]:
         return self.classifications.get(name)

@@ -3,7 +3,8 @@
 :func:`lint_source` takes one loop-language program through the full
 pipeline with the sanitizer active, verifies the resulting SSA, and runs
 the semantic lints; :func:`lint_analyzed` is that findings step alone,
-which ``repro pylint`` also runs on each lowered Python function.
+which ``repro pylint`` also runs on each lowered Python function, and
+:func:`publish` labels both modes' findings with their target.
 :func:`lint_paths` extends that to files and directories: ``*.loop``
 files are linted directly, and ``*.py`` files are *harvested* -- every
 string constant that parses as a loop-language program containing a loop
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import ast
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 from repro.diagnostics.diagnostic import Diagnostic, DiagnosticCollector
@@ -72,7 +73,7 @@ def lint_source(
         local.emit("LNT001", f"analysis failed: {error}")
     else:
         lint_analyzed(program, local, execution, samples, ranges, invariants)
-    return _publish(local, out, origin)
+    return publish(local, out, origin)
 
 
 def lint_analyzed(
@@ -112,11 +113,24 @@ def lint_analyzed(
         check_invariants(program, collector, samples=samples)
 
 
-def _publish(
-    local: DiagnosticCollector, out: DiagnosticCollector, origin: Optional[str]
+def publish(
+    local: DiagnosticCollector,
+    out: DiagnosticCollector,
+    origin: Optional[str],
+    function: Optional[str] = None,
 ) -> List[Diagnostic]:
+    """Move the findings of one lint target from ``local`` to ``out``.
+
+    A finding that names no origin is the target's: it takes ``origin``,
+    and ``function`` when it names no function either (an RES5xx
+    degradation of the analyzed unit is one).  ``repro lint`` and
+    ``repro pylint`` label their findings by this one rule.
+    """
     published = [
-        d.with_origin(origin) if origin and d.origin is None else d for d in local
+        replace(d, origin=origin, function=d.function or function)
+        if origin and d.origin is None
+        else d
+        for d in local
     ]
     out.extend(published)
     return published

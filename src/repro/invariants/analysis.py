@@ -11,9 +11,9 @@ The phase is optional and isolated behind fault point
 ``invariants.compute``; on failure ``analyze(..., invariants=True)``
 degrades to :meth:`InvariantInfo.degraded_info` and analysis continues.
 Observability mirrors the ranges phase: an ``invariants`` span and the
-``invariants.*`` metrics (loops walked, paths enumerated, loops
-truncated at ``MAX_PATHS``, dead edges pruned, equalities emitted,
-ranges refined).
+``invariants.*`` metrics (loops walked, paths of complete summaries
+executed, loops truncated at ``MAX_PATHS``, dead edges pruned,
+equalities emitted, ranges refined).
 """
 
 from __future__ import annotations
@@ -108,7 +108,6 @@ def _compute(result: AnalysisResult, ranges) -> InvariantInfo:
         path_summary = enumerate_paths(function, loop, ranges)
         if path_summary is None:
             continue  # nested loops: the region is not a path DAG
-        summary.path_summary = path_summary
         info.path_summaries[loop.header] = path_summary
         info.pruned_paths += path_summary.pruned_paths
         if not path_summary.affine:
@@ -118,7 +117,6 @@ def _compute(result: AnalysisResult, ranges) -> InvariantInfo:
             continue
         invariants = generate_invariants(path_summary, inits, loop=loop.header)
         if invariants:
-            summary.invariants = tuple(invariants)
             info.by_loop[loop.header] = tuple(invariants)
     if ranges is not None and not getattr(ranges, "degraded", True):
         info.range_refinements = _refine_ranges(function, ranges, info)

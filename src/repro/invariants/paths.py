@@ -11,8 +11,8 @@ what one trip down each path does to every loop-carried value:
         path L1,else,endif:  i.2 -> i.2 + 3
 
 The per-path update maps are what the polynomial invariant generator
-(:mod:`repro.invariants.poly`) consumes, and the path-summary set rides
-on :class:`~repro.core.driver.LoopSummary` for reports and ``explain()``.
+(:mod:`repro.invariants.poly`) consumes; the summaries ride on
+:class:`~repro.invariants.analysis.InvariantInfo` for reports.
 
 Execution is shared across paths.  The enumerated paths are sorted, so
 each shares its longest common prefix with the one before it: a single
@@ -22,16 +22,10 @@ back-edge operands runs -- a derived ``x = a * 3`` or a store cannot
 reach an update.  Symbolic work therefore scales with the distinct path
 prefixes times the slice, not with the paths times the body.
 
-Execution is also deferred.  :func:`enumerate_paths` records only the
-sorted block paths; the shared-prefix execution runs once, on the first
-read of any path's ``updates``, ``update_of``, ``affine`` or
-``describe()``.  ``len(summary.paths)``, ``truncated``, ``complete``,
-``pruned_paths`` and ``notes()`` never trigger it, and
-:attr:`PathSummary.affine` stops at ``complete``, so a ``truncated``
-summary -- which claims nothing -- is executed only when a report prints
-its paths.  The updates are those of the function as it stands at that
-first read: an in-place transform should read them before it rewrites
-the loop.
+Only a complete summary is executed.  A walk cut off at ``MAX_PATHS``
+has seen a subset of the paths, so no equality can rest on it: a
+``truncated`` summary keeps no paths (``paths == ()``) and reports only
+that the cap stopped it.
 
 Dead edges are pruned *before* summarization when a
 :class:`~repro.ranges.analysis.RangeInfo` is supplied: a branch condition
@@ -65,6 +59,7 @@ _POINT_FALSE = Interval.point(0)
 _Updates = Tuple[Tuple[str, Optional[Expr]], ...]
 
 
+@dataclass(frozen=True)
 class LoopPath:
     """One acyclic header-to-latch path and its joint update map.
 
@@ -73,36 +68,10 @@ class LoopPath:
     header-phi symbols and loop-invariant names -- or ``None`` when the
     path computes something the symbolic executor cannot express
     (division, loads, comparisons...).
-
-    A path from :func:`enumerate_paths` is *deferred*: it knows its
-    blocks, and the first read of ``updates`` (or of ``update_of``,
-    ``affine``, ``describe()``) on any path of the loop executes all of
-    them at once.  Equality and hashing compare blocks and updates.
     """
 
-    __slots__ = ("blocks", "_updates", "_pending")
-
-    def __init__(self, blocks: Tuple[str, ...], updates: _Updates):
-        self.blocks = blocks
-        self._updates = updates
-        #: ``(execution, index)`` until the first read of ``updates``
-        self._pending: Optional[Tuple["_PathExecution", int]] = None
-
-    @classmethod
-    def _deferred(
-        cls, blocks: Tuple[str, ...], execution: "_PathExecution", index: int
-    ) -> "LoopPath":
-        path = cls(blocks, ())
-        path._pending = (execution, index)
-        return path
-
-    @property
-    def updates(self) -> _Updates:
-        if self._pending is not None:
-            execution, index = self._pending
-            self._updates = execution.run()[index].updates
-            self._pending = None
-        return self._updates
+    blocks: Tuple[str, ...]
+    updates: _Updates
 
     def update_of(self, name: str) -> Optional[Expr]:
         for phi, expr in self.updates:
@@ -125,43 +94,6 @@ class LoopPath:
         )
         return f"[{' -> '.join(self.blocks)}] {{{steps}}}"
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.blocks == other.blocks and self.updates == other.updates
-
-    def __hash__(self) -> int:
-        return hash((self.blocks, self.updates))
-
-    def __repr__(self) -> str:
-        return f"LoopPath(blocks={self.blocks!r}, updates={self.updates!r})"
-
-
-class _PathExecution:
-    """The deferred :func:`_execute_paths` of one loop's sorted paths.
-
-    Holds no reference to the :class:`LoopPath` objects it serves, so a
-    summary forms no reference cycle.
-    """
-
-    __slots__ = ("_inputs", "_executed")
-
-    def __init__(
-        self,
-        function: Function,
-        loop: Loop,
-        header_phis: List[Phi],
-        paths: List[Tuple[str, ...]],
-    ):
-        self._inputs: Optional[tuple] = (function, loop, header_phis, paths)
-        self._executed: Tuple[LoopPath, ...] = ()
-
-    def run(self) -> Tuple[LoopPath, ...]:
-        if self._inputs is not None:
-            self._executed = _execute_paths(*self._inputs)
-            self._inputs = None
-        return self._executed
-
 
 @dataclass
 class PathSummary:
@@ -172,8 +104,8 @@ class PathSummary:
     paths: Tuple[LoopPath, ...] = ()
     #: dead edges skipped thanks to RNG606 constant-branch verdicts
     pruned_paths: int = 0
-    #: True when the MAX_PATHS cap stopped the enumeration: the path set
-    #: is a subset, so only may-facts (not must-facts) survive
+    #: True when the MAX_PATHS cap stopped the enumeration: the paths it
+    #: saw are a subset, which supports no equality, so none are kept
     truncated: bool = False
 
     @property
@@ -186,7 +118,7 @@ class PathSummary:
         return self.complete and all(path.affine for path in self.paths)
 
     def notes(self) -> List[str]:
-        out = [f"{len(self.paths)} path(s)"]
+        out = [f"{MAX_PATHS if self.truncated else len(self.paths)} path(s)"]
         if self.pruned_paths:
             out.append(f"pruned_paths={self.pruned_paths}")
         if self.truncated:
@@ -198,15 +130,13 @@ def enumerate_paths(
     function: Function,
     loop: Loop,
     ranges=None,
-    max_paths: int = MAX_PATHS,
 ) -> Optional[PathSummary]:
     """Enumerate the acyclic header-to-latch paths of ``loop``.
 
     Returns ``None`` for loops containing nested loops (their region is
     not a path DAG; the classifier already summarizes them through exit
     values).  ``ranges`` (a ``RangeInfo``) enables dead-edge pruning.
-    The returned paths are deferred: their updates are executed on first
-    read (see the module docstring).
+    A summary the ``MAX_PATHS`` cap truncates keeps no paths.
     """
     if loop.children:
         return None
@@ -227,7 +157,7 @@ def enumerate_paths(
     stack: List[Tuple[str, Tuple[str, ...]]] = [(loop.header, (loop.header,))]
     while stack:
         label, path = stack.pop()
-        if len(paths) >= max_paths:
+        if len(paths) >= MAX_PATHS:
             summary.truncated = True
             break
         block = function.blocks.get(label)
@@ -250,12 +180,9 @@ def enumerate_paths(
             # exit edges (and the impossible in-path revisit) end the walk
 
     summary.pruned_paths = len(dead_edges)
-    paths.sort()
-    execution = _PathExecution(function, loop, header.phis(), paths)
-    summary.paths = tuple(
-        LoopPath._deferred(path, execution, index)
-        for index, path in enumerate(paths)
-    )
+    if not summary.truncated:
+        paths.sort()
+        summary.paths = _execute_paths(function, loop, header.phis(), paths)
     return summary
 
 

@@ -15,7 +15,7 @@ analysis bug) costs exactly that function, never the corpus run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.diagnostics.diagnostic import Diagnostic, DiagnosticCollector
@@ -108,7 +108,7 @@ def _analyze_compiled(
 ) -> FunctionOutcome:
     """Full pipeline over one lowered function, then ``repro lint``'s
     findings step (:func:`~repro.diagnostics.driver.lint_analyzed`)."""
-    from repro.diagnostics.driver import lint_analyzed
+    from repro.diagnostics.driver import lint_analyzed, publish
     from repro.obs import runlog
     from repro.pipeline import analyze_function
     from repro.resilience.isolation import diagnostics_of
@@ -126,13 +126,7 @@ def _analyze_compiled(
     # sample, which a corpus-scale walk cannot afford (and the
     # differential oracle already holds lowering to CPython semantics)
     lint_analyzed(program, local, execution=False, ranges=ranges)
-    for d in local:
-        if d.code.startswith("RES5"):
-            # labelled with its layer ("resilience"): name the function
-            d = replace(d, origin=cf.origin, function=cf.qualname)
-        elif d.origin is None:
-            d = d.with_origin(cf.origin)
-        collector.diagnostics.append(d)
+    publish(local, collector, cf.origin, cf.qualname)
     return FunctionOutcome(
         origin=cf.origin,
         qualname=cf.qualname,

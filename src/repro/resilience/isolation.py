@@ -197,16 +197,17 @@ def run_optional(
 def diagnostics_of(
     records: List[DegradationRecord],
     collector=None,
-    origin: str = "resilience",
+    origin: Optional[str] = None,
     hint: Optional[str] = None,
 ):
     """Publish degradation records as RES5xx diagnostics.
 
     Returns the collector (a fresh one when ``collector`` is ``None``).
     Imported lazily so the resilience core stays free of the diagnostics
-    package at import time.  ``origin``/``hint`` let frontends re-home
+    package at import time.  ``origin``/``hint`` let frontends label
     their own record families (the real-Python frontend labels PYF4xx
-    findings with the source file instead of ``"resilience"``).
+    findings with the source file); without ``origin`` a finding is left
+    for the lint driver to label with the program it was analyzing.
     """
     from repro.diagnostics.diagnostic import DiagnosticCollector
 

@@ -210,80 +210,80 @@ GOLDEN = {
     "chain:3:p0.9": "b1f60f250a0a1502e8a3505df6ff1374521d1a95c55c48656717f26c9dd3f92e",
     "example:branchy_counters.loop": "4e3162058cdf3be4bff30486e43ae717378d7ca2fa114bc698fcda98567d10ee",
     "example:wolfe_figures.loop": "321331330baa6b5900d581cd1c8edc911cb8ecf074e3a6642da1909e4bbbe559",
-    "mixed:1:p0.0": "26191e9ac749957bbb1b28c925edd3012f33faa1fba2f05db08e9b8f97146fb0",
+    "mixed:1:p0.0": "75de3d3c5d738ef300f014a67b3a152d93fd3b6150696bb0c65be685a07ef561",
     "mixed:1:p0.1": "908631c6169b31d5b524405542ef1f16d03584e280393f4445cf3a53b4102a00",
-    "mixed:1:p0.10": "ff13c30e62f32aef068acbeefa32a54b375bde803ba027113d17668a2a0315dc",
-    "mixed:1:p0.11": "3f6df109a757f252ed0a0580f76619a90595d2a6419fe7acafb5ac102c041275",
-    "mixed:1:p0.12": "d2e9751957592eaf7d3d62de94dcc6ba53292f9f343ab609f031123fb8da69b4",
-    "mixed:1:p0.13": "399677a218e66fe71a3682d697450d52ad9eda9041295baf18ca4b72b002801a",
-    "mixed:1:p0.14": "77f65bacfc59a36b4c995e09febc43ab51c407b5b5b8fd42dbb56244d2f81e96",
-    "mixed:1:p0.15": "04eb7839c2883ee1a30e744f58ad94c44dd2e6e7a26924cb3ebe2e4385616e60",
-    "mixed:1:p0.16": "53f8d6ca59c33ddf2a4824a8b1d22210d1f91ddc2e4a51df60541f92e507a272",
-    "mixed:1:p0.17": "05873fec15b102556d9fb2dc3d7482a7b136ce5676644b6de91d29df6926cc04",
-    "mixed:1:p0.18": "f7f53c2c30174ee6b3139efa76ab3010e24290e2a5fedc779cd0d6aeac8387be",
-    "mixed:1:p0.19": "7a05ca957124439f999df5b40e46b5e7526a63e7bba8aec7f9d76678542a4207",
+    "mixed:1:p0.10": "5a8c3f32e1e6bf6432e4acc23fdd9629062a85c6e24ecc2b6ce3b8750cfdc0a0",
+    "mixed:1:p0.11": "cc8187d99aa2761e9bbbcb1122b440a5ad494a3d42ef22e157be61442d860ef2",
+    "mixed:1:p0.12": "ee216d869c3bf117d2546fe0ee4afa21439a4c00155f284c04f03971d88c4922",
+    "mixed:1:p0.13": "2a3fadd66c7983731cc645f06eedd991f534eba4cac3bd02bcebd2ba5c94bd91",
+    "mixed:1:p0.14": "e8e4675ae1cf753fcafde53f5f72283066b8c0e4eb1550268648574fb998a432",
+    "mixed:1:p0.15": "f400b828ae71faaa80e9688ecebcfc12b05da05c62e20b8547c1d1190d212e0f",
+    "mixed:1:p0.16": "b3b1249ee0f8d767eb4728df810a6c8c5b1d165af9cdc7211170d2a2ff60d2a7",
+    "mixed:1:p0.17": "be5f4a5270e9a5b5834577f393ecadfea794996eb7de86df324b6dc89c128bbb",
+    "mixed:1:p0.18": "8b1bba153e862eea02c97d1bd8d7c49f71f875c4f6b35f2e46e9209a4e8db809",
+    "mixed:1:p0.19": "1f34450b4297ce01f102e476112e3251d7b08c1afb02092c61b0ff70aca22128",
     "mixed:1:p0.2": "ab14a99b5090a919539081df0411e6e7d99bf67afabcfb20d7dbc962004cc441",
-    "mixed:1:p0.20": "70906f20326c0d4f233cb24839a86333df53eb6a54e6d06c5f4b872a2c0a869f",
-    "mixed:1:p0.21": "8a956799da8112ec21afeacff35f08870af4025b61e405e70a65e832a5bdaba9",
-    "mixed:1:p0.22": "fede0452328cf280dc44db398a271efa0916748fc1b0347a0c2337611d7533f6",
-    "mixed:1:p0.23": "85e01d5aa81bc672f0263497c6d9f6d36af2bf1835414a048722489b1f64e3c1",
-    "mixed:1:p0.24": "22597edc5ca4ab124d29804075fe972db7113ff3a6b037dc74064c7740b295d5",
-    "mixed:1:p0.3": "be293dd8e1caeac4ac39613f7a6278e90d722036a6f38f52ed6fd7d384813168",
-    "mixed:1:p0.4": "6475b6e2a5935d45ac096563c7c9b3e78a3d134f892c9b29bb241ec4066309be",
-    "mixed:1:p0.5": "03404fda993614f788fb0f30f332443d0ddda6499805b92593218857dfb05bc6",
+    "mixed:1:p0.20": "666ebff67c76b1ed77ed1cf3fcae6b0c5dc2b5e57ab00b38e3d929e7b3c2951f",
+    "mixed:1:p0.21": "6b72251f0e84202c8537e77f7c6be67b77f4427ed98f5419cf5b1cc366e9bd8f",
+    "mixed:1:p0.22": "c9b6c2e882bcecc087e6c818741bb87528674d4c9f32d57596b057ce24b28c19",
+    "mixed:1:p0.23": "2eb34a328a4c683bd5ad523742e41b91a22c7d3c2926703cbcc5f1c67986768e",
+    "mixed:1:p0.24": "aad9799c923d676eabd526ceefa88b36bbf6bd00e8df57ce0a0dac4bf8652558",
+    "mixed:1:p0.3": "64ba3a003e3323b79a030c85753cac5bf98fcfb62061c3b96f7d8797c60a6bd3",
+    "mixed:1:p0.4": "7586a3696ef423260097ba07304ce2e49572c868550a6fac1db72f5c4362c07e",
+    "mixed:1:p0.5": "2030769f9c70616879e5e6891d7d84a85bcbec45a3be036943b7a50e0bac90b8",
     "mixed:1:p0.6": "4115ff335816d999f04a9275820cadcb6aa473698a304316824144e65e61517a",
-    "mixed:1:p0.7": "503d69e5719374ada765af1cbf1b05c5676232f87f4c600d0ceef22ae6542a57",
-    "mixed:1:p0.8": "6fae4c8edd70f1907648782683fc1fc386fb645209172feb367c9a181f20c7c8",
-    "mixed:1:p0.9": "2eeb71ddd0f534cfefd2bfb0249366ddaa80ca4fb7f84e942f3c6a4986cc758d",
+    "mixed:1:p0.7": "ca095cd1b43588fd2e2e63e08612a4e1179d03356e1ccb11c19bf6b0bf96a8ae",
+    "mixed:1:p0.8": "9470da895c9f6babf38ec39f4c35f74c23b178d012cc1dab15351ecc62655758",
+    "mixed:1:p0.9": "a20dd38161eaf9196771ac8a26959615ae52c9b32a7b302eb46791ec493815b7",
     "mixed:2:p0.0": "a753251d739d65642157e8d09135e9bb9261a16ac3255acb7fc2fdafd5061746",
-    "mixed:2:p0.1": "ed43d0454a16785fb57e5a1f0180dfdecf6e09f2f7e5a410096930a80b5823a4",
-    "mixed:2:p0.10": "7b2aba1d37101b00c75b36c07dec1c34839b035dbb0cdaf81efd349cef6906ef",
-    "mixed:2:p0.11": "8e3ad343a16296981778bd1c8f07e6f81713b490016cb1ee53a572fda757f66c",
-    "mixed:2:p0.12": "036236d4ca4fad162cf670063b6257f058b04336f34f8d9efb994f2c0a6817b6",
-    "mixed:2:p0.13": "68e461435ef3052f12dcc0085bc1084156e2855c40b612edc536eeca7e6a11a3",
-    "mixed:2:p0.14": "6768a422f4b0297c789640cd00c79d146f732e507c4cc45e0f18addec51ac1d6",
-    "mixed:2:p0.15": "401b787188b3fec133afc9438de4a86e094ef92ef6f4023490652c5d97ea0e5a",
-    "mixed:2:p0.16": "5d9baee613e35c61b39e4470a61bd07de969eb5611e61434002f38b5ed443beb",
-    "mixed:2:p0.17": "8b873e43b786f3255f404a19180415e0a95da6d427af72edc3f8dcaae66a796a",
-    "mixed:2:p0.18": "2a528d75ea53cc4c06dd954981843e89582997f6051b8cb3d755a32dab52eb4f",
-    "mixed:2:p0.19": "dfde33c700fba5c46e360487e1654cc9d25f46a3890835a1774aea5043e98c26",
+    "mixed:2:p0.1": "de1a652392c3b5698ed79fa72020fbad5cc3d7c0b348566075e9523109782eaa",
+    "mixed:2:p0.10": "2fc170a7af1d6562803e035f9edfab98b88f4aba4edbb99824c63fa299a40fad",
+    "mixed:2:p0.11": "18af07ead3761eab997032f5c8fe1843c58b1c448313c375efef8458bd7a35c5",
+    "mixed:2:p0.12": "52a5ed35e083ce6de0932b9220a9bf8ec4c6287759aa21c35cbe81a4fb1aa7e7",
+    "mixed:2:p0.13": "837700447183083a224b487f1b54fa4d15c69672f6723c147f719e1c6e190927",
+    "mixed:2:p0.14": "afb8d7a704fc220cce81d2589d02cac9ee4dd624f53db03c0d74ebc65d230a73",
+    "mixed:2:p0.15": "7141e0d7a0752e4e4ab64931c4e90bd5da3ce633ef634c074f8e201234d2b0be",
+    "mixed:2:p0.16": "85ee3bfe138dc82ff0ca02754ea1cd29e21d8ea601449d34cc03bcdb5bc7a03e",
+    "mixed:2:p0.17": "ca74bed5d98a1ca56b9a6dbeb10e20cba85ded1977353d5747db04d47e22724a",
+    "mixed:2:p0.18": "3becd24366ef995ffbc63fcaca800a1bb1edef132c359469f8ff2250e2aa52be",
+    "mixed:2:p0.19": "bd54dc8a3748825a9678b2d852fb7ed5d15fcdbb9f40ebbf9ad81029c9d08c43",
     "mixed:2:p0.2": "99b1572f3f368ac4ec9a86c2a6a93b2efea3363c1d9a35db7e283667cb714aa0",
-    "mixed:2:p0.20": "9b2cae03da219146bbf353c536c9ede73a2a80a72ced8ff5cd1121f84e8225f9",
-    "mixed:2:p0.21": "c26ab13cef578c745eef39588f72707f907828ae22b26f9334495a8188ae1624",
-    "mixed:2:p0.22": "ba8bb60ca87087987ab6a19ad70c3f3a94352020f3011156f5cc494d91161e40",
-    "mixed:2:p0.23": "33f1322393d6bc0855c82929bf3c22b8f3d6763260f2fcc2b5541714ac33a930",
-    "mixed:2:p0.24": "d686191edd2573309efd1c701cf1445cc33a6299d0619c1d1a97a786386df0ed",
-    "mixed:2:p0.3": "fc8f573852e3f473bedeb6fb1c8582c4b67d3b562e0c4d8041892f3267686fcb",
+    "mixed:2:p0.20": "e9d3b5f6eb89b216094cba38b256fc5ef87f742143477e6ec8ef192eeada2294",
+    "mixed:2:p0.21": "6f87d64a42766699f95486840dc75501f744bf8f868926c580e5f5d30f628988",
+    "mixed:2:p0.22": "8e1d6be0e158974417e02758569f90eb8bc6b20c095b296def5b516888e46c10",
+    "mixed:2:p0.23": "ae87f26eb786779eac4b3a6acdf24aba58e77db2bc60e065cc083ab28d098513",
+    "mixed:2:p0.24": "4c04cad566c5e01f79fa66a2a32bea85dbbf5847785d9fb17b8d94eaf735c106",
+    "mixed:2:p0.3": "1fb5d848b886a86a385331375e67f6857f3cd3f993d3b79abf1b8925eebf2886",
     "mixed:2:p0.4": "a19585b6c71f3495eab4d8ae17d10637ae813d362579c2301daaaca4a0d3338a",
-    "mixed:2:p0.5": "98038d570597873a0ce6a1171817cc97d480d3dbd68bf9d348c1b1a70392e325",
-    "mixed:2:p0.6": "04cdb7a0cba0384e38d3d1b721cfaf76b078f5414142464fbcc471cd71cff7f2",
-    "mixed:2:p0.7": "544c941a01453c14a9a2eeda761bfefdfe0b4fa8b3f8d972e9814b71d844baba",
-    "mixed:2:p0.8": "cfefe8f2639aa166fbaef3dcd428e706a5acf24275cd9be84c27171a853df6a0",
-    "mixed:2:p0.9": "f11447eb79b96b87244c3a9b2764caa4abeef73ec06093e95ace18b5271173cf",
+    "mixed:2:p0.5": "4bc90561815e497f5cca00270f874ef9509d5f05b8d8e3d1e547dd151a3d726e",
+    "mixed:2:p0.6": "26df20d9ea151702fd6159e92465b44cc57548bc190b4163219c2175f9e69b73",
+    "mixed:2:p0.7": "1f9aa97793fc46efe049be7d37059132eec9f5ca9c0899c22d6c0229795d05fd",
+    "mixed:2:p0.8": "562d6736c1a2de6988a552a0b7e40fd1b455aa679c84ad014bec40af1347e2da",
+    "mixed:2:p0.9": "68ad2a57220ba6f20d9ca14515a74d40af6c43c982aa00f63ed1c7a191e638b5",
     "mixed:3:p0.0": "c15d0a6f368bfadcdbd52556a3755091deab3df8a861855695646b33b3c27583",
     "mixed:3:p0.1": "58f968a3e1285c759d716a93d72b022a715aa2e6202b972ad8ab833319bbffb8",
-    "mixed:3:p0.10": "5dccfbe91cc904c10ad98ab8cb2462c7d1956118a4f9069d54ed75a86a743a5d",
-    "mixed:3:p0.11": "ba55d76c59b0aa6ab61c70649a05f79e93ce731d3489ec0752b7b7298e0dff2e",
-    "mixed:3:p0.12": "1db38430f51cfe77e992ea62ea8f54fe33c2329482bc0f1c7be2181b985c534d",
-    "mixed:3:p0.13": "5efb0f8e8bb026cf7600941689df4c1a12fd757e33e9422812dfe2b3f29b8845",
-    "mixed:3:p0.14": "cab2ec83e03d0b152372e8efc9dca789b08dcc51eef9a4222708f15024cb487d",
-    "mixed:3:p0.15": "8bb797ac849fbe72e72b4815674f219d4caa20a3fb81603ca167010d8f2e88ca",
-    "mixed:3:p0.16": "6ae6c697ce77faf0925a6078b08c2225c89542e3a6d0076398950389ea6ac78f",
-    "mixed:3:p0.17": "84a96725e2eaf71e9ead64aebcbdaf99f248fbe59a07a0f80284aecf14ac7bed",
-    "mixed:3:p0.18": "859d06d77ed49a62d3f463b9410b67ab9405f9b4fbaa6c7e77533882c67191a7",
-    "mixed:3:p0.19": "563919cca3d81182db0e498d96aeac18d2a04b8ffa0946e773e56e58ef776e9d",
+    "mixed:3:p0.10": "6c603007ae9e421fb041415b1fb92d588fada021dfcdac33d9e96e266ab9bafe",
+    "mixed:3:p0.11": "4308a9a76ca921649cddf67448772009b3fa2191ec2f2c254ef233d8ff2b749a",
+    "mixed:3:p0.12": "621885c1f541e9952d542b40f8c26bd2981cf9b17ff72903b2da40bdd3227bd0",
+    "mixed:3:p0.13": "40d9873d110151753f1a26b2c62d5a666f6bb131a4f34f0416a3763ebb267ff6",
+    "mixed:3:p0.14": "c8c4bac58849048070c61162a6d3469e22c6ae83060626c655670fac0c744d29",
+    "mixed:3:p0.15": "d92d9f8367e2194ac770709ea113f5a60002c8270674e60a2eedf1faad463eae",
+    "mixed:3:p0.16": "1ba8447efa82bcdadd623233a46bbc68da5ce054dbcad7de52086518dd4231b5",
+    "mixed:3:p0.17": "b6d1f77187c0d5b3b934d3ab87d1cdc39fa8acd59737f94b978fc13298210b24",
+    "mixed:3:p0.18": "579c3cbe85783f37495982ed47fbc0ba6c03570198689043d4c300cefc50d362",
+    "mixed:3:p0.19": "c910913a98ef745c65b06524b16f9d6bec48ab033321e905b72cfa12462551e8",
     "mixed:3:p0.2": "a7a631cf65b9498173b60682b4395d587f9855ea42f4590f031faa41350e173a",
-    "mixed:3:p0.20": "c802e113268692b620126ac960479895279314e6d687c74cb4136b1e4b5512a0",
-    "mixed:3:p0.21": "1566188fdf29cdd912d907b2c39e19a1471ef9e1740c19a06b8e3b140683d952",
-    "mixed:3:p0.22": "0969d3994bbc7726d506305abee993585efb17c7442ef11d6c10e60212425cf6",
-    "mixed:3:p0.23": "abfc921b3a7f4af0ac425d8ff10f7eb06ff78b7cc82dfc28ad3e25a58424571b",
-    "mixed:3:p0.24": "5bdd1c64628c72369d9ffaf83a55e131e6e299e0d7980121be589848760dfbed",
-    "mixed:3:p0.3": "8def71672aebba6c0e4d70720549acf96c274a6e36e86c1894602ef715bee3cd",
-    "mixed:3:p0.4": "0415a78a66540c429a1cd8e3426ccce08a59d014804affe3d947fa3e950b4c36",
-    "mixed:3:p0.5": "b2e33ef6bdd0699c7264c4c21b4867cdd1c2f1e4e3cb27d23178ba00fbd601c4",
-    "mixed:3:p0.6": "df3926848204ef1345d968f92ce09461fd8bfd6213a8eca9f8ad41f3bbd3f522",
+    "mixed:3:p0.20": "fb743a056901dec67eac04ed5390f76d95d80a2a5f790b9c3c5c880d8d8d40a4",
+    "mixed:3:p0.21": "9071f484e1fced5c07c152a8215ab1e9e203e9c22e515e428b0b7eedf608fcd1",
+    "mixed:3:p0.22": "f937b5b8abf2bf3817e6d8b46459ccee136fd4c117e51f9fc814e43b50289c30",
+    "mixed:3:p0.23": "65df486a4183620e7f25ce7c791a7d8e7065e42ad82df2a0257eb605180068f8",
+    "mixed:3:p0.24": "da36f2cf69fceea9753298d340ff69dd70b13b065241a7e66652e8152b5fc8e4",
+    "mixed:3:p0.3": "7718e7562b60755bc4bbb40f9d948ba673b9fc52090d55e093e5b5ef3de87440",
+    "mixed:3:p0.4": "63dc3f640dedff1c1e68ecf3d8cc8157c45ca582e55734b6ceae5ab4631e76e9",
+    "mixed:3:p0.5": "39bc0e9354e7435de07bafa53d536c02e33fe4a326e7da45475ca625fee5960b",
+    "mixed:3:p0.6": "d03613750afd65f2d97cfd959db8ede46861b51e13f013e1a87e1e535fa9d5f8",
     "mixed:3:p0.7": "6386847f5765d71ad0014c04b887d394e396f74a5e05591c45c6026de2a46cdf",
-    "mixed:3:p0.8": "45d06feaf73e70fff2a61312a26b2887859155188cc1fa40d8e7ba8d1c589dc5",
+    "mixed:3:p0.8": "f52b48bbab53695207340e660c7f9ff2a35536f7828434ef33eba80c8b78200b",
     "mixed:3:p0.9": "bb7e9c39de77f435694ebc86a0456cca9f0794e2f6d8da21aac38f4fd4eacf30",
     "py:kernels.py:count_positive": "4c4bf3c29a7785d7514304c54e382a81aa79db31de2ddac8d1bdb0cde07290e5",
     "py:kernels.py:dot": "61ff1336f03e24518b885636aa04c14c0ed58e18c11916fc9ba004f343e5b14c",

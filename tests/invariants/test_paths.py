@@ -40,10 +40,18 @@ endwhile
 """
 
 
-#: 5 independent two-way branches = 32 paths > MAX_PATHS
-FIVE_DIAMONDS = "s = 0\nL1: for i = 1 to n do\n" + "\n".join(
-    f"  if A[i + {k}] > 0 then\n    s = s + {k + 1}\n  endif" for k in range(5)
-) + "\nendfor"
+def diamonds(count):
+    """A loop of ``count`` independent two-way branches: 2**count paths."""
+    return "s = 0\nL1: for i = 1 to n do\n" + "\n".join(
+        f"  if A[i + {k}] > 0 then\n    s = s + {k + 1}\n  endif"
+        for k in range(count)
+    ) + "\nendfor"
+
+
+#: 32 paths > MAX_PATHS: truncated
+FIVE_DIAMONDS = diamonds(5)
+#: 16 paths == MAX_PATHS: complete, at the cap
+FOUR_DIAMONDS = diamonds(4)
 
 
 def summarize(source, loop="L1", ranges=None, **kwargs):
@@ -87,10 +95,17 @@ endfor
 
     def test_truncation_at_max_paths(self):
         summary = summarize(FIVE_DIAMONDS)
-        assert summary.truncated
-        assert len(summary.paths) <= MAX_PATHS
+        assert summary.truncated and summary.paths == ()
         assert not summary.complete and not summary.affine
-        assert any("truncated" in note for note in summary.notes())
+        assert summary.notes() == [
+            f"{MAX_PATHS} path(s)",
+            f"truncated at {MAX_PATHS}",
+        ]
+
+    def test_loop_at_the_cap_is_complete(self):
+        summary = summarize(FOUR_DIAMONDS)
+        assert len(summary.paths) == MAX_PATHS
+        assert summary.complete and not summary.truncated
 
 
 class TestUpdateMaps:
@@ -257,7 +272,8 @@ class TestWorkBound:
     ``_symbolic`` runs once per executed non-phi instruction, so its call
     count may not exceed the sliced instructions of the distinct path
     prefixes (the nodes of the path trie).  Re-executing the body once
-    per path -- sliced or not -- exceeds that bound on both loops.
+    per path -- sliced or not -- exceeds that bound on both loops, the
+    first of which has exactly ``MAX_PATHS`` paths.
     """
 
     @staticmethod
@@ -273,8 +289,6 @@ class TestWorkBound:
 
         monkeypatch.setattr(paths_module, "_symbolic", counting)
         summary = enumerate_paths(program.ssa, loop)
-        for path in summary.paths:  # execution is deferred to the reads
-            path.updates
         return program.ssa, loop, summary, len(calls)
 
     @staticmethod
@@ -287,12 +301,12 @@ class TestWorkBound:
 
     @pytest.mark.parametrize(
         "source",
-        [FIVE_DIAMONDS, mixed_class_loop(3, 100)],
-        ids=["five_diamonds", "mixed_class_loop"],
+        [FOUR_DIAMONDS, mixed_class_loop(3, 25)],
+        ids=["four_diamonds", "mixed_class_loop"],
     )
     def test_symbolic_work_bounded_by_distinct_prefixes(self, monkeypatch, source):
         function, loop, summary, calls = self.symbolic_calls(monkeypatch, source)
-        assert len(summary.paths) > 1
+        assert summary.complete and len(summary.paths) > 1
         live = header_phi_slice(function, loop)
         prefixes = {
             path.blocks[:k]
@@ -317,106 +331,37 @@ AB_DIAMONDS = "a = 1\nb = 1\nL1: for i = 1 to n do\n" + "\n".join(
 ) + "\nendfor"
 
 
-class TestDeferredExecution:
-    """Paths execute on the first read of an update map, all at once."""
+def test_truncated_loop_is_never_executed(monkeypatch):
+    """A truncated summary claims nothing, so nothing of it is executed.
 
-    @staticmethod
-    def counting(monkeypatch):
-        calls = []
-        real = paths_module._symbolic
+    Executing the 16 paths the walk sees would build products of more
+    than three terms; neither analysis, nor the run-log record, nor the
+    report runs them, so a three-term cap does not degrade the phase.
+    """
+    from repro.obs.runlog import build_record
+    from repro.report import format_report
+    from repro.resilience.budget import AnalysisBudget
 
-        def counted(inst, state):
-            calls.append(inst.result)
-            return real(inst, state)
+    calls = []
+    real = paths_module._symbolic
 
-        monkeypatch.setattr(paths_module, "_symbolic", counted)
-        return calls
+    def counted(inst, state):
+        calls.append(inst.result)
+        return real(inst, state)
 
-    def test_truncated_loop_executes_only_when_read(self, monkeypatch):
-        calls = self.counting(monkeypatch)
-        program = analyze(AB_DIAMONDS, ranges=True, invariants=True)
-        summary = program.result.invariants.path_summary_of("L1")
-        # everything analyze() and the run-log record read stays cheap
-        assert summary.truncated and len(summary.paths) == MAX_PATHS
-        assert not summary.complete and not summary.affine
-        assert summary.notes() == [
-            f"{MAX_PATHS} path(s)",
-            f"truncated at {MAX_PATHS}",
-        ]
-        assert all(len(path.blocks) > 1 for path in summary.paths)
-        assert calls == []
-
-        lines = [path.describe() for path in summary.paths]
-        executed = len(calls)
-        assert executed > 0
-        assert [path.describe() for path in summary.paths] == lines
-        assert len(calls) == executed  # one execution served every path
-
-        loop = program.result.loops["L1"].loop
-        eager = paths_module._execute_paths(
-            program.ssa,
-            loop,
-            program.ssa.block("L1").phis(),
-            [path.blocks for path in summary.paths],
-        )
-        assert [path.describe() for path in eager] == lines
-        assert summary.paths == eager
-
-    def test_complete_loop_executes_during_analysis(self, monkeypatch):
-        calls = self.counting(monkeypatch)
-        program = analyze(TWO_PATH, invariants=True)
-        summary = program.result.invariants.path_summary_of("L1")
-        assert summary.complete and summary.affine
-        assert calls  # invariant generation read every update
-        assert program.result.invariants.invariants_of("L1")
-
-    @pytest.mark.parametrize(
-        "read",
-        [
-            lambda path: path.updates,
-            lambda path: path.update_of("s.2"),
-            lambda path: path.affine,
-            lambda path: path.describe(),
-            repr,
-            hash,
-        ],
-        ids=["updates", "update_of", "affine", "describe", "repr", "hash"],
+    monkeypatch.setattr(paths_module, "_symbolic", counted)
+    program = analyze(
+        AB_DIAMONDS,
+        ranges=True,
+        invariants=True,
+        budget=AnalysisBudget(max_expr_terms=3),
     )
-    def test_every_update_read_executes(self, monkeypatch, read):
-        program = analyze(FIVE_DIAMONDS)
-        calls = self.counting(monkeypatch)
-        summary = enumerate_paths(program.ssa, program.result.loops["L1"].loop)
-        assert calls == []
-        read(summary.paths[-1])
-        assert calls
-
-    def test_tight_term_budget_no_longer_degrades_the_phase(self):
-        """Finer-grained degradation: only claimed-on work is budgeted.
-
-        Executing a truncated loop's 16 paths builds products of more
-        than three terms.  When enumeration executed them, a three-term
-        cap degraded the whole invariants phase over updates no claim
-        rests on; now they execute when the report reads them, after
-        the analysis and outside its budget.
-        """
-        from repro.report import format_report
-        from repro.resilience.budget import AnalysisBudget, budgeted
-        from repro.resilience.errors import BudgetExceeded
-
-        program = analyze(
-            AB_DIAMONDS,
-            ranges=True,
-            invariants=True,
-            budget=AnalysisBudget(max_expr_terms=3),
-        )
-        assert not program.degraded
-        info = program.result.invariants
-        assert not info.degraded and info.path_summary_of("L1").truncated
-        report = format_report(program)
-        assert report.count("    path [") == MAX_PATHS
-
-        # the same execution inside the budget is what used to degrade
-        summary = enumerate_paths(program.ssa, program.result.loops["L1"].loop)
-        with budgeted(AnalysisBudget(max_expr_terms=3)):
-            with pytest.raises(BudgetExceeded):
-                summary.paths[0].updates
+    build_record(program)
+    report = format_report(program)
+    assert calls == []
+    assert not program.degraded
+    info = program.result.invariants
+    summary = info.path_summary_of("L1")
+    assert not info.degraded and summary.truncated and summary.paths == ()
+    assert f"  L1: {MAX_PATHS} path(s), truncated at {MAX_PATHS}" in report
+    assert report.count("    path [") == 0

@@ -9,7 +9,8 @@ left out: it is a statistic, not part of what a path summary says.
 
 The digests pin the symbolic path executor: any change to how paths are
 enumerated, executed or truncated that alters a single update map, an
-invariant or a refined range shows up here.  To regenerate after an
+invariant or a refined range shows up here.  A truncated summary keeps
+no paths, so its line reads ``truncated`` with an empty path list.  To regenerate after an
 intended change, run ``python tests/invariants/test_paths_golden.py``
 from the repository root with ``PYTHONPATH=src`` and paste the output.
 """
@@ -98,20 +99,20 @@ GOLDEN = {
     "fixture:prunable": "3f5141e8af039463641de78f4f68120c2f233f146856ed3b3d42134b5acf7c06",
     "fixture:single_path": "86d4a4ed301db85d2c2ac4be2fc6f4c74e94634f0e94d632c890376530b051f1",
     "fixture:three_path": "c998d3ee1c80d2c7dfcaed10c9ceb6584533dd16e42df131de79c91ac92e2d24",
-    "fixture:truncated": "9ea59c54549d09198b4ea79f95fff856df2c11a7d6494fd359e7e435cc6ebd12",
+    "fixture:truncated": "3e279cbd3a9ee2b0d6ac147305200629bf75bdba1ad1acafbac10ed525378d66",
     "fixture:two_path": "ab1b2a7e0fdcfa98dfd3e70dbdeb90fd13fe2f3679c8150f62fad82a834a352c",
     "mixed:1:10": "8d56db80d7da8af6e50c66909ccecac95bae2e72c130afdc3d9e031ded0fc104",
-    "mixed:1:100": "0f7234dd3e63c7110a087fab15eeb478cf59dda938a91183a4d0de089da3ce20",
+    "mixed:1:100": "0117b83d42761afc7fd6ff4df144afd07295d7e6a6323fd97eec425ae0849609",
     "mixed:1:25": "1f83d26505472896b1f0c960d29f4b6a56140e6b8c087073459f2fa52679060d",
-    "mixed:1:50": "1210979296cd21a13498e4a2e87595f1cabb0345a2b93ef3e4b9ce7ef0581593",
+    "mixed:1:50": "f84a976d9f148e504f20b3311910f6e367d18b9b722a75eef79dfc9aa2f08df1",
     "mixed:2:10": "717bd0c58801a72cf303cb95230c9d8ad0ab7af7d226a1eba9637d2af24e72a3",
-    "mixed:2:100": "6487ce934fc9be7d87499caea62937240f8511e708568e7b6da93ff2b743e65e",
+    "mixed:2:100": "860d72f9ebb4adb060b246e21da561ccc296fb48301f32e2243951878ea3c7cf",
     "mixed:2:25": "accea78bd3ea860f5680fddce7b0168b78fe35f07df92beee47b97becfe03d6e",
-    "mixed:2:50": "9ded4838dbf405460342da264234e9634fe75ab8bdd406a94eb86008698ac575",
+    "mixed:2:50": "74190e695e64af509a491d37a6d179cfd188d7cb1c40f9c05ee8ee8dd0285cf9",
     "mixed:3:10": "fe2aa70d7e4f6d8db1b213281a614957964d8ac167c35d789ceeaed1bfa05340",
-    "mixed:3:100": "d43246a2364f0ac12b64ce5e225f79f8382b65db17a73b248b09ef4f46ddf644",
+    "mixed:3:100": "d2247efe1fd440b076b8920b8f1bad9a4de08f735832a4607fca9c965e286061",
     "mixed:3:25": "4e70e95df4cddf3aa6ecd323293bd8ed7d24184751ef621e12122e543be15179",
-    "mixed:3:50": "7120f60d998134f67b937fb275ef2e30874d3d9530fd81868f5c15a0c011aa66",
+    "mixed:3:50": "d5ac9fdd4b452b2c806c494e19154bd9618868f365779da8eaf0d6f81c41a337",
     "straightline:20": "d74e3764db4e5e60f6fd050dad21b1bdb6765261c3bbedf6a81a64d9de3a00a1",
 }
 

@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from repro.diagnostics.driver import collect_targets, discover_files
+from repro.diagnostics.driver import collect_targets, discover_files, lint_paths
 from repro.pipeline import AnalyzedProgram, analyze, analyze_function
 from repro.pyfront.driver import pylint_paths, render_corpus_json, render_corpus_text
 from repro.pyfront.lower import compile_module
@@ -126,6 +126,18 @@ def test_pylint_reports_each_skipped_loop_canonicalization():
     assert sorted(
         (d["origin"], d["function"]) for d in found if d["code"] == "RES502"
     ) == sorted((cf.origin, cf.qualname) for cf in PY_FUNCTIONS)
+
+
+def test_lint_reports_each_skipped_loop_canonicalization():
+    """``repro lint`` labels an RES5xx finding as ``repro pylint`` does:
+    with the origin of the target whose analysis degraded."""
+    with injecting(FaultPlan(points={"analysis.loop-simplify"})):
+        collector = lint_paths([EXAMPLES], execution=False)
+    found = [d for d in collector if d.code.startswith("RES5")]
+    assert [(d.code, d.stage) for d in found] == [
+        ("RES502", "analysis.loop-simplify")
+    ] * len(CORPUS)
+    assert sorted(d.origin for d in found) == sorted(t.origin for t in CORPUS)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
