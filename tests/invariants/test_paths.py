@@ -280,14 +280,7 @@ class TestWorkBound:
     def symbolic_calls(monkeypatch, source):
         program = analyze(source)
         loop = program.result.loops["L1"].loop
-        calls = []
-        real = paths_module._symbolic
-
-        def counting(inst, state):
-            calls.append(inst.result)
-            return real(inst, state)
-
-        monkeypatch.setattr(paths_module, "_symbolic", counting)
+        calls = counting_symbolic(monkeypatch)
         summary = enumerate_paths(program.ssa, loop)
         return program.ssa, loop, summary, len(calls)
 
@@ -323,12 +316,84 @@ class TestWorkBound:
         assert bound < per_path  # the bound does tell the two apart
 
 
+def ab_diamonds(count):
+    """``count`` diamonds whose else-arms multiply: products among the updates."""
+    return "a = 1\nb = 1\nL1: for i = 1 to n do\n" + "\n".join(
+        f"  if A[i + {k}] > 0 then\n    a = a + {k + 1}\n  else\n"
+        f"    b = b * a\n  endif"
+        for k in range(count)
+    ) + "\nendfor"
+
+
 #: 5 diamonds = 32 paths > MAX_PATHS, with products among the updates
-AB_DIAMONDS = "a = 1\nb = 1\nL1: for i = 1 to n do\n" + "\n".join(
-    f"  if A[i + {k}] > 0 then\n    a = a + {k + 1}\n  else\n"
-    f"    b = b * a\n  endif"
-    for k in range(5)
-) + "\nendfor"
+AB_DIAMONDS = ab_diamonds(5)
+
+
+def counting_symbolic(monkeypatch):
+    """Count ``_symbolic`` calls from here on; returns the growing list."""
+    calls = []
+    real = paths_module._symbolic
+
+    def counted(inst, state):
+        calls.append(inst.result)
+        return real(inst, state)
+
+    monkeypatch.setattr(paths_module, "_symbolic", counted)
+    return calls
+
+
+class TestExecution:
+    """A complete summary executes in ``enumerate_paths``; a truncated one never."""
+
+    def test_complete_loop_executes_during_analysis(self, monkeypatch):
+        calls = counting_symbolic(monkeypatch)
+        program = analyze(TWO_PATH, invariants=True)
+        summary = program.result.invariants.path_summary_of("L1")
+        assert summary.complete and summary.affine
+        assert calls  # invariant generation read every update
+        assert program.result.invariants.invariants_of("L1")
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda path: path.updates,
+            lambda path: path.update_of("s.2"),
+            lambda path: path.affine,
+            lambda path: path.describe(),
+            repr,
+            hash,
+        ],
+        ids=["updates", "update_of", "affine", "describe", "repr", "hash"],
+    )
+    def test_reads_after_enumeration_execute_nothing(self, monkeypatch, read):
+        program = analyze(FOUR_DIAMONDS)
+        loop = program.result.loops["L1"].loop
+        summary = enumerate_paths(program.ssa, loop)
+        assert summary.complete and len(summary.paths) == MAX_PATHS
+        calls = counting_symbolic(monkeypatch)
+        for path in summary.paths:
+            read(path)
+        assert calls == []
+
+    def test_enumerating_a_truncated_loop_executes_nothing(self, monkeypatch):
+        program = analyze(FIVE_DIAMONDS)
+        calls = counting_symbolic(monkeypatch)
+        summary = enumerate_paths(program.ssa, program.result.loops["L1"].loop)
+        assert summary.truncated and summary.paths == ()
+        assert calls == []
+
+    def test_executing_the_same_updates_exceeds_a_three_term_cap(self):
+        """The cap ``test_truncated_loop_is_never_executed`` relies on bites:
+        the complete four-diamond version of its loop does degrade."""
+        from repro.resilience.budget import AnalysisBudget
+
+        program = analyze(
+            ab_diamonds(4),
+            ranges=True,
+            invariants=True,
+            budget=AnalysisBudget(max_expr_terms=3),
+        )
+        assert program.degraded and program.result.invariants.degraded
 
 
 def test_truncated_loop_is_never_executed(monkeypatch):
@@ -342,14 +407,7 @@ def test_truncated_loop_is_never_executed(monkeypatch):
     from repro.report import format_report
     from repro.resilience.budget import AnalysisBudget
 
-    calls = []
-    real = paths_module._symbolic
-
-    def counted(inst, state):
-        calls.append(inst.result)
-        return real(inst, state)
-
-    monkeypatch.setattr(paths_module, "_symbolic", counted)
+    calls = counting_symbolic(monkeypatch)
     program = analyze(
         AB_DIAMONDS,
         ranges=True,
